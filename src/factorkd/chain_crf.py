@@ -11,6 +11,19 @@ label, so pair (a, b) ending at position i scores tr + em[i][b]; position 1
 is the degenerate pair (BOS, y_1) with score start + em[1].  The forward
 pass computes alpha, the backward pass beta, and marginals follow the
 classical product alpha * edge * beta / Z.
+
+All of this runs in one batched kernel, `forward_backward`, which takes a
+list of lattices (one mini-batch) and returns log Z per lattice with its
+unary and pairwise marginals.  The lattices are padded to the longest one,
+as (B, N, L) emissions and (B, N-1, L, L) transitions, and one forward and
+one backward loop run over the positions.  The padding is the exact
+identity of the log semiring: padded emissions are 0 and padded
+transitions are 0 on the diagonal and -inf off it, so alpha and beta pass
+through padded positions unchanged, bit for bit, and no length masks are
+needed.  Every reduction has the same shape and memory order as in a
+single lattice, so a lattice gets bit-identical results in any batch;
+`log_partition`, `pairwise_marginals` and `unary_marginals` are the
+one-lattice views.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LabelAlphabet, TagSequence, BioesCodec
-from .numerics import NEG_INF, log_sum_exp, logsumexp_last, softmax_last
+from .numerics import NEG_INF, logsumexp_last, softmax_last
 from .scorer import (
     FeatureHasher,
     SlotBlock,
@@ -81,54 +94,80 @@ class LatticeGrad:
     stop: np.ndarray
 
 
-def _forward(lat: ChainLattice) -> np.ndarray:
-    n, L = lat.emissions.shape
-    alpha = np.empty((n, L))
-    alpha[0] = lat.start + lat.emissions[0]
-    for i in range(1, n):
-        steps = alpha[i - 1][:, None] + lat.transitions[i - 1]  # [a, b]
-        alpha[i] = lat.emissions[i] + logsumexp_last(steps.T)
-    return alpha
+def _identity_transitions(L):
+    """The (L, L) transition block of a padded position: 0 on the diagonal
+    (the label stays), -inf elsewhere."""
+    block = np.full((L, L), NEG_INF)
+    np.fill_diagonal(block, 0.0)
+    return block
 
 
-def _backward(lat: ChainLattice) -> np.ndarray:
-    n, L = lat.emissions.shape
-    beta = np.empty((n, L))
-    beta[n - 1] = lat.stop
-    for i in range(n - 2, -1, -1):
-        steps = lat.transitions[i] + (lat.emissions[i + 1] + beta[i + 1])[None, :]
-        beta[i] = logsumexp_last(steps)
-    return beta
+def _alpha_beta(lattices):
+    """Padded forward and backward passes over a list of lattices that share
+    one label space.  Returns (em, tr, alpha, beta, log_z): the padded
+    (B, N, L) emissions and (B, N-1, L, L) transitions, alpha and beta as
+    (B, N, L), and log Z as (B,)."""
+    B, N = len(lattices), max(lat.n for lat in lattices)
+    L = lattices[0].n_labels
+    em = np.empty((B, N, L))
+    tr = np.empty((B, N - 1, L, L))
+    start = np.empty((B, L))
+    stop = np.empty((B, L))
+    for b, lat in enumerate(lattices):
+        n = lat.n
+        em[b, :n] = lat.emissions
+        tr[b, : n - 1] = lat.transitions
+        if n < N:  # identity padding; nothing else is filled twice
+            em[b, n:] = 0.0
+            tr[b, n - 1 :] = _identity_transitions(L)
+        start[b] = lat.start
+        stop[b] = lat.stop
+
+    alpha = np.empty((B, N, L))
+    alpha[:, 0] = start + em[:, 0]
+    for i in range(1, N):
+        steps = alpha[:, i - 1, :, None] + tr[:, i - 1]  # [b, a, c]
+        alpha[:, i] = em[:, i] + logsumexp_last(steps.transpose(0, 2, 1))
+    beta = np.empty((B, N, L))
+    beta[:, N - 1] = stop
+    for i in range(N - 2, -1, -1):
+        steps = tr[:, i] + (em[:, i + 1] + beta[:, i + 1])[:, None, :]
+        beta[:, i] = logsumexp_last(steps)
+    log_z = logsumexp_last(alpha[:, -1] + stop)
+    return em, tr, alpha, beta, log_z
+
+
+def forward_backward(lattices):
+    """(log Z, marginals) for a batch of lattices: log Z as a (B,) array and
+    one ChainMarginals per lattice, in input order.  Unary rows equal the
+    pair-slice sums."""
+    em, tr, alpha, beta, log_z = _alpha_beta(lattices)
+    # the same sums in the same order as one expression, but in place:
+    # the pairwise block is the largest array here, and `tr` is ours to reuse
+    unary = alpha + beta
+    unary -= log_z[:, None, None]
+    np.exp(unary, out=unary)
+    pairwise = np.add(tr, alpha[:, :-1, :, None], out=tr)
+    pairwise += (em[:, 1:] + beta[:, 1:])[:, :, None, :]
+    pairwise -= log_z[:, None, None, None]
+    np.exp(pairwise, out=pairwise)
+    margs = [
+        ChainMarginals(pairwise[b, : lat.n - 1], unary[b, : lat.n])
+        for b, lat in enumerate(lattices)
+    ]
+    return log_z, margs
 
 
 def log_partition(lat: ChainLattice) -> float:
-    alpha = _forward(lat)
-    return log_sum_exp(alpha[-1] + lat.stop)
+    return float(_alpha_beta([lat])[4][0])
 
 
 def pairwise_marginals(lat: ChainLattice) -> ChainMarginals:
-    """Forward-backward marginals; unary rows equal the pair-slice sums."""
-    n, L = lat.emissions.shape
-    alpha = _forward(lat)
-    beta = _backward(lat)
-    log_z = log_sum_exp(alpha[-1] + lat.stop)
-    unary = np.exp(alpha + beta - log_z)
-    pairwise = np.empty((n - 1, L, L))
-    for i in range(n - 1):
-        edge = (
-            alpha[i][:, None]
-            + lat.transitions[i]
-            + (lat.emissions[i + 1] + beta[i + 1])[None, :]
-        )
-        pairwise[i] = np.exp(edge - log_z)
-    return ChainMarginals(pairwise, unary)
+    return forward_backward([lat])[1][0]
 
 
 def unary_marginals(lat: ChainLattice) -> np.ndarray:
-    alpha = _forward(lat)
-    beta = _backward(lat)
-    log_z = log_sum_exp(alpha[-1] + lat.stop)
-    return np.exp(alpha + beta - log_z)
+    return pairwise_marginals(lat).unary
 
 
 def viterbi(lat: ChainLattice) -> TagSequence:
@@ -164,9 +203,8 @@ def nll_and_grad(lat: ChainLattice, gold: TagSequence):
         raise ValueError(f"gold length {len(tags)} != lattice length {n}")
     if any(not 0 <= t < L for t in tags):
         raise ValueError("gold tag id outside the label space")
-    marg = pairwise_marginals(lat)
-    log_z = log_partition(lat)
-    loss = log_z - sequence_score(lat, tags)
+    log_z, (marg,) = forward_backward([lat])
+    loss = log_z[0] - sequence_score(lat, tags)
 
     d_em = marg.unary.copy()
     d_tr = marg.pairwise.copy()
@@ -181,12 +219,20 @@ def nll_and_grad(lat: ChainLattice, gold: TagSequence):
     return float(loss), LatticeGrad(d_em, d_tr, d_start, d_stop)
 
 
-def sample_tags(lat: ChainLattice, rng) -> tuple:
+def backward_scores(lat: ChainLattice) -> np.ndarray:
+    """beta (n, L): log of the summed scores of every continuation after
+    label y at position i, the stop score included."""
+    return _alpha_beta([lat])[3][0]
+
+
+def sample_tags(lat: ChainLattice, rng, beta=None) -> tuple:
     """Exact posterior draw by forward filtering, backward sampling
     (equivalently: sample y_1 from its filtered marginal, then each next
-    label from the conditional given the prefix)."""
+    label from the conditional given the prefix).  Pass the lattice's
+    `backward_scores` as `beta` to sample one lattice many times."""
     n, L = lat.emissions.shape
-    beta = _backward(lat)
+    if beta is None:
+        beta = backward_scores(lat)
     p0 = softmax_last(lat.start + lat.emissions[0] + beta[0])
     tags = [int(rng.choice(L, p=p0))]
     for i in range(1, n):
@@ -282,6 +328,23 @@ class ChainCrfTagger:
             start = start + self._masks[1]
             stop = stop + self._masks[2]
         return ChainLattice(em, tr, start, stop)
+
+    def forbidden_part(self, tags):
+        """The first start, transition or stop of a tag sequence that the
+        BIOES constraints forbid, described by its labels; None if the
+        sequence is allowed (always, for an unconstrained tagger)."""
+        if self._masks is None:
+            return None
+        trans, start, stop = self._masks
+        label = self.tags.label
+        if start[tags[0]] == NEG_INF:
+            return f"start {label(tags[0])}"
+        for a, b in zip(tags, tags[1:]):
+            if trans[a, b] == NEG_INF:
+                return f"transition {label(a)} -> {label(b)}"
+        if stop[tags[-1]] == NEG_INF:
+            return f"stop {label(tags[-1])}"
+        return None
 
     def new_grads(self) -> ChainGrads:
         L = len(self.tags)

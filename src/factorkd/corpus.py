@@ -501,10 +501,10 @@ def _chain_token_pools(spec: SynthChainSpec):
     return pools
 
 
-def _sample_chain_sentence(codec, lattice, pools, spec, rng):
+def _sample_chain_sentence(codec, lattice, beta, pools, spec, rng):
     from .chain_crf import sample_tags
 
-    tags = sample_tags(lattice, rng)
+    tags = sample_tags(lattice, rng, beta)
     tokens = []
     for tag in tags:
         prefix, typ = codec.split(tag)
@@ -526,21 +526,22 @@ def _synth_chain(n_sentences, min_len, max_len, spec, seed):
     rng = np.random.default_rng(seed)
     codec, trans, start, stop = _planted_chain_model(spec, np.random.default_rng(seed))
     pools = _chain_token_pools(spec)
-    from .chain_crf import ChainLattice
+    from .chain_crf import ChainLattice, backward_scores
 
     L = len(codec.tags)
-    lattices = {}
+    lattices = {}  # length -> (lattice, its backward scores)
     records = []
     for _ in range(n_sentences):
         n = int(rng.integers(min_len, max_len + 1))
         if n not in lattices:
-            lattices[n] = ChainLattice(
+            lat = ChainLattice(
                 emissions=np.zeros((n, L)),
                 transitions=np.broadcast_to(trans, (max(n - 1, 0), L, L)).copy(),
                 start=start.copy(),
                 stop=stop.copy(),
             )
-        records.append(_sample_chain_sentence(codec, lattices[n], pools, spec, rng))
+            lattices[n] = (lat, backward_scores(lat))
+        records.append(_sample_chain_sentence(codec, *lattices[n], pools, spec, rng))
     return records, codec.tags
 
 

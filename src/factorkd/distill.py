@@ -214,8 +214,7 @@ def kd_loss_global(table: ChainMarginals, lat: ChainLattice, student_temp: float
     if table.unary.shape != (n, L):
         raise ValueError(f"teacher table {table.unary.shape} != student lattice ({n}, {L})")
     slat = lat if student_temp == 1.0 else lat.scaled(1.0 / student_temp)
-    marg = chain_crf.pairwise_marginals(slat)
-    log_z = chain_crf.log_partition(slat)
+    (log_z,), (marg,) = chain_crf.forward_backward([slat])
 
     q_first = table.unary[0]
     q_last = table.unary[n - 1]

@@ -152,7 +152,7 @@ class RunManifest:
 # Per-family training steps (one forward pass serves target and KD losses)
 
 
-def _check_gold(model, gold):
+def _check_gold(model, gold, index):
     if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
         want = TagSequence
     elif isinstance(model, (FirstOrderParser, SecondOrderParser)):
@@ -163,6 +163,12 @@ def _check_gold(model, gold):
         raise ValueError(
             f"{type(model).__name__} trains on {want.__name__} gold, got {type(gold).__name__}"
         )
+    if isinstance(model, ChainCrfTagger):
+        forbidden = model.forbidden_part(gold.tags)
+        if forbidden is not None:
+            raise ValueError(
+                f"record {index}: gold has a {forbidden} that the BIOES constraints forbid"
+            )
 
 
 def _step_maxent(model, prep, gold, table, lam, grads, coef):
@@ -183,10 +189,12 @@ def _step_maxent(model, prep, gold, table, lam, grads, coef):
     return loss
 
 
-def _step_crf(model, prep, gold, table, lam, grads, coef):
-    lat = model.lattice(prep)
-    marg = chain_crf.pairwise_marginals(lat)
-    log_z = chain_crf.log_partition(lat)
+def _step_crf(model, prep, gold, table, lam, grads, coef, chain=None):
+    if chain is None:
+        lat = model.lattice(prep)
+        (log_z,), (marg,) = chain_crf.forward_backward([lat])
+    else:
+        lat, marg, log_z = chain
     n = lat.n
     tags = tuple(gold)
 
@@ -271,13 +279,22 @@ def _step_split(model, prep, gold, table, lam, grads, coef, student_temp):
     raise TypeError(f"{type(model).__name__} is not a KD student family")
 
 
-def sentence_step(model, prep, gold, table, lam, grads, coef, student_temp=1.0):
-    if student_temp != 1.0 and lam > 0.0:
+def _split_step(lam, student_temp):
+    return student_temp != 1.0 and lam > 0.0
+
+
+def sentence_step(model, prep, gold, table, lam, grads, coef, student_temp=1.0, chain=None):
+    """One sentence's loss, its gradient scattered into `grads` at `coef`.
+
+    For a CRF, `chain` may carry the sentence's (lattice, marginals, log Z)
+    from a batched forward-backward; without it the step computes them.
+    """
+    if _split_step(lam, student_temp):
         return _step_split(model, prep, gold, table, lam, grads, coef, student_temp)
     if isinstance(model, MaxEntTagger):
         return _step_maxent(model, prep, gold, table, lam, grads, coef)
     if isinstance(model, ChainCrfTagger):
-        return _step_crf(model, prep, gold, table, lam, grads, coef)
+        return _step_crf(model, prep, gold, table, lam, grads, coef, chain)
     if isinstance(model, SecondOrderParser):
         if lam > 0.0:
             raise ValueError("the second-order parser is a teacher family, not a KD student")
@@ -344,8 +361,11 @@ def train(
     """Mini-batch SGD with best-dev-checkpoint selection.
 
     Returns (model, manifest); the model carries the best checkpoint's
-    parameters.  `prepared`/`teacher_tables` may be passed to share work
-    across runs (they must align with train_records).
+    parameters, or the last epoch's when there are no dev records.
+    `prepared`/`teacher_tables` may be passed to share work across runs
+    (they must align with train_records).  A CRF mini-batch runs one
+    batched forward-backward; the per-sentence steps then consume it in
+    batch order.
     """
     if not train_records:
         raise ValueError("training set is empty")
@@ -357,8 +377,8 @@ def train(
             raise ValueError(
                 f"case {case.tag} expects a {case.student_family} student, got {model.family}"
             )
-    for rec in train_records:
-        _check_gold(model, rec.gold)
+    for index, rec in enumerate(train_records):
+        _check_gold(model, rec.gold, index)
 
     if prepared is None:
         prepared = [model.prepare(r.tokens) for r in train_records]
@@ -406,6 +426,8 @@ def train(
     grads = model.new_grads()
     order = np.arange(n)
     step = 0
+    student_temp = distill_cfg.student_temp if distill_cfg else 1.0
+    is_crf = isinstance(model, ChainCrfTagger)
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
@@ -414,11 +436,16 @@ def train(
             lam = lambda_schedule(step, anneal) if anneal is not None else 0.0
             grads.fill(0.0)
             coef = 1.0 / len(batch)
-            for i in batch:
+            chains = [None] * len(batch)
+            if is_crf and not _split_step(lam, student_temp):
+                lats = [model.lattice(prepared[i]) for i in batch]
+                log_z, margs = chain_crf.forward_backward(lats)
+                chains = list(zip(lats, margs, log_z))
+            for i, chain in zip(batch, chains):
                 table = teacher_tables[i] if teacher_tables is not None else None
                 epoch_loss += sentence_step(
                     model, prepared[i], train_records[i].gold, table, lam, grads, coef,
-                    student_temp=distill_cfg.student_temp if distill_cfg else 1.0,
+                    student_temp=student_temp, chain=chain,
                 )
             model.sgd_step(grads, cfg.lr)
             step += 1
@@ -431,7 +458,10 @@ def train(
             {"epoch": epoch, "train_loss": epoch_loss / n, "dev_metric": metric}
         )
 
-    model.restore(best_snap)
+    if dev_records:
+        model.restore(best_snap)
+    else:  # nothing to select on: keep the last epoch
+        best_epoch = cfg.epochs
     manifest.best_epoch = best_epoch
     manifest.best_dev = max(best_metric, 0.0)
     if dev_records:

@@ -116,14 +116,17 @@ def suite_chain(trials=100, seed=0):
     rng = np.random.default_rng(seed)
     worst_z = worst_pair = worst_unary = worst_cons = worst_shift = 0.0
     viterbi_bad = 0
+    by_labels = {}  # L -> [(oracle log Z, log Z, marginals, oracle pair, oracle unary, lattice)]
     for _ in range(trials):
         n = int(rng.integers(1, 7))
         L = int(rng.integers(2, 5))
         lat = rand_lattice(rng, n, L)
         e = oracle.enumerate_chain(lat)
-        worst_z = max(worst_z, abs(chain_crf.log_partition(lat) - oracle.log_partition(e)))
+        log_z, ref_z = chain_crf.log_partition(lat), oracle.log_partition(e)
+        worst_z = max(worst_z, abs(log_z - ref_z))
         marg = chain_crf.pairwise_marginals(lat)
         ref_pair, ref_unary = oracle.chain_marginals(e, L)
+        by_labels.setdefault(L, []).append((ref_z, log_z, marg, ref_pair, ref_unary, lat))
         if n > 1:
             worst_pair = max(worst_pair, np.abs(marg.pairwise - ref_pair).max())
             worst_cons = max(
@@ -151,6 +154,26 @@ def suite_chain(trials=100, seed=0):
             np.abs(chain_crf.unary_marginals(shifted) - marg.unary).max(),
         )
 
+    # the same lattices as padded mini-batches (one per label count, mixed
+    # lengths) vs the one-lattice views and the enumeration
+    worst_batch = 0.0
+    for rows in by_labels.values():
+        batch_z, margs = chain_crf.forward_backward([row[-1] for row in rows])
+        for (ref_z, log_z, single, ref_pair, ref_unary, lat), z, marg in zip(rows, batch_z, margs):
+            worst_batch = max(
+                worst_batch,
+                abs(z - ref_z),
+                abs(z - log_z),
+                np.abs(marg.unary - ref_unary).max(),
+                np.abs(marg.unary - single.unary).max(),
+            )
+            if lat.n > 1:
+                worst_batch = max(
+                    worst_batch,
+                    np.abs(marg.pairwise - ref_pair).max(),
+                    np.abs(marg.pairwise - single.pairwise).max(),
+                )
+
     # forbidden transition yields an exactly-zero pairwise marginal
     lat = rand_lattice(np.random.default_rng(seed + 1), 3, 3)
     lat.transitions[1, 0, 1] = -np.inf
@@ -162,6 +185,11 @@ def suite_chain(trials=100, seed=0):
         _check(f"chain unary marginals vs enumeration ({trials})", worst_unary, MARGINAL_TOL),
         _check("chain pairwise/unary consistency", worst_cons, MARGINAL_TOL),
         _check("chain emission shift invariance", worst_shift, MARGINAL_TOL),
+        _check(
+            f"chain batched forward-backward vs single and enumeration ({trials})",
+            worst_batch,
+            MARGINAL_TOL,
+        ),
         Check(
             f"chain viterbi vs enumeration argmax ({trials})",
             viterbi_bad == 0,

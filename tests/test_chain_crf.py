@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from factorkd import chain_crf, oracle
 from factorkd.chain_crf import ChainCrfTagger, ChainLattice, bioes_masks
@@ -78,6 +78,60 @@ def test_marginal_consistency_property(seed):
     np.testing.assert_allclose(marg.unary.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(marg.pairwise.sum(axis=2), marg.unary[:-1], atol=1e-9)
     np.testing.assert_allclose(marg.pairwise.sum(axis=1), marg.unary[1:], atol=1e-9)
+
+
+def _batch_lattices(seed, lengths, bioes):
+    """Random lattices of the given lengths; with `bioes`, over a one-type
+    BIOES label set (L = 5) with its -inf transition/start/stop masks,
+    otherwise over L = 3 with a few random -inf transitions."""
+    rng = np.random.default_rng(seed)
+    if bioes:
+        trans, start, stop = bioes_masks(BioesCodec(LabelAlphabet("t", ["PER"]).freeze()))
+    lats = []
+    for n in lengths:
+        if bioes:
+            lat = rand_lattice(rng, n, 5)
+            lat.transitions += trans
+            lat.start += start
+            lat.stop += stop
+        else:
+            lat = rand_lattice(rng, n, 3)
+            lat.transitions[rng.random(lat.transitions.shape) < 0.15] = -np.inf
+        lats.append(lat)
+    return lats
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lengths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    bioes=st.booleans(),
+)
+@example(seed=0, lengths=[1, 1, 1], bioes=False)
+@example(seed=1, lengths=[1, 1], bioes=True)
+@example(seed=2, lengths=[1, 8, 3, 1], bioes=True)
+@settings(max_examples=30, deadline=None)
+def test_batched_forward_backward_matches_single_and_enumeration(seed, lengths, bioes):
+    lats = _batch_lattices(seed, lengths, bioes)
+    log_z, margs = chain_crf.forward_backward(lats)
+    assert log_z.shape == (len(lats),)
+    for lat, z, marg in zip(lats, log_z, margs):
+        n, L = lat.emissions.shape
+        assert marg.unary.shape == (n, L) and marg.pairwise.shape == (n - 1, L, L)
+        single = chain_crf.pairwise_marginals(lat)
+        assert abs(z - chain_crf.log_partition(lat)) <= 1e-9
+        np.testing.assert_allclose(marg.unary, single.unary, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(marg.pairwise, single.pairwise, rtol=0, atol=1e-9)
+        if L**n <= 2187:
+            e = oracle.enumerate_chain(lat)
+            ref_pair, ref_unary = oracle.chain_marginals(e, L)
+            assert abs(z - oracle.log_partition(e)) <= 1e-9
+            np.testing.assert_allclose(marg.unary, ref_unary, rtol=0, atol=1e-9)
+            if n > 1:
+                np.testing.assert_allclose(marg.pairwise, ref_pair, rtol=0, atol=1e-9)
+        # forbidden substructures keep exactly zero mass
+        assert np.all(marg.pairwise[np.isneginf(lat.transitions)] == 0.0)
+        assert np.all(marg.unary[0][np.isneginf(lat.start)] == 0.0)
+        assert np.all(marg.unary[-1][np.isneginf(lat.stop)] == 0.0)
 
 
 def test_emission_shift_moves_partition_not_marginals():

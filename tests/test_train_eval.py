@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -203,6 +206,66 @@ def test_zero_epochs_returns_initial_model():
     model, manifest = train(model, tr, dv, TrainConfig(epochs=0, seed=1))
     assert not model.params.weights.any()
     assert manifest.history == [] and manifest.best_epoch == 0
+
+
+def test_empty_dev_keeps_last_epoch():
+    tr, _, tags = _tiny_chain()
+    model = models.new_model("ner-maxent", tags, bits=12)
+    model, manifest = train(model, tr, [], TrainConfig(epochs=3, seed=1))
+    assert model.params.weights.any()
+    assert manifest.best_epoch == 3 and len(manifest.history) == 3
+
+
+@pytest.mark.parametrize(
+    "gold, part",
+    [
+        (("I-PER", "E-PER"), "start I-PER"),
+        (("B-PER", "O"), "transition B-PER -> O"),
+        (("O", "B-LOC"), "stop B-LOC"),
+    ],
+)
+def test_constrained_crf_rejects_forbidden_gold(gold, part):
+    tr, dv, tags = _tiny_chain()
+    bad = corpus.SentenceRecord(["a", "b"], TagSequence(tuple(tags.index(t) for t in gold)))
+    model = models.new_model("ner-crf", tags, bits=10, constrain_bioes=True)
+    with pytest.raises(ValueError, match=f"record 1: gold has a {part} "):
+        train(model, [tr[0], bad] + tr[1:], dv, TrainConfig(epochs=1))
+    # the unconstrained tagger accepts the same data
+    train(models.new_model("ner-crf", tags, bits=10), [tr[0], bad], dv, TrainConfig(epochs=1))
+
+
+# sha256 of the model files and manifests below, as written before the chain
+# forward-backward was batched; batching must not move a single bit
+CRF_DIGESTS = {
+    "teacher": "b01e4e3e67a7950a7982a85cacbf6df9db4b93fdc18d7980e89ed642b61b673c",
+    "teacher_manifest": "0b447f1ad48bbd05394e1905a2f4ae35ee9e6c7773f4968a6f41f32120dc1d0f",
+    "student": "3a72e0c34fda8aa5b80fbe4c663b12ff1683dbc60ee0a4dacdedd22ce638412b",
+    "student_manifest": "02fd7428c8b35e3ab9275e9bff2c8b6f46d88bf9d5c16f0b031046ca88d80548",
+}
+
+
+def test_crf_teacher_and_1a_student_artifacts_are_pinned(tmp_path):
+    recs, tags = corpus.synth_generate("chain", 160, max_len=7, min_len=1, seed=7)
+    tr, dv = recs[:120], recs[120:]
+
+    def digests(model, manifest, name):
+        models.save_model(model, tmp_path / name)
+        text = json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2)
+        return {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(),
+            f"{name}_manifest": hashlib.sha256(text.encode()).hexdigest(),
+        }
+
+    teacher = models.new_model("ner-crf", tags, bits=12, constrain_bioes=True)
+    teacher, manifest = train(teacher, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=3))
+    got = digests(teacher, manifest, "teacher")
+    student = models.new_model("ner-crf", tags, bits=12)
+    student, manifest = train(
+        student, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=4),
+        distill_cfg=DistillConfig("1a", temperature=2.0, temp_mode="global"), teacher=teacher,
+    )
+    got.update(digests(student, manifest, "student"))
+    assert got == CRF_DIGESTS
 
 
 def test_same_seed_identical_manifests():
