@@ -3,7 +3,7 @@
 Commands: train-teacher, train-student, distill, eval, pseudo-label,
 verify.  NER tasks read CoNLL column files (last column = tag); dependency
 tasks read CoNLL-U.  Usage problems exit with code 2, verification
-failures with 1.
+failures with 1, and a training run whose loss stops being finite with 3.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ DEP_FAMILIES = ("dep-1st", "dep-2nd")
 
 USAGE_EXIT = 2
 VERIFY_EXIT = 1
+DIVERGED_EXIT = 3
 
 
 class UsageError(Exception):
@@ -308,6 +309,9 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
+    except train_eval.DivergedError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return DIVERGED_EXIT
 
 
 if __name__ == "__main__":

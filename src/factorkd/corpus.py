@@ -285,19 +285,31 @@ def read_conll_ner(source, alphabet: LabelAlphabet | None = None):
     sentence boundaries, ``-DOCSTART-`` lines dropped.
 
     Returns (records, tag alphabet); tags are kept verbatim as strings and
-    interned into the alphabet in order of first occurrence.
+    interned into the alphabet in order of first occurrence.  Entity tags
+    must be BIOES: a file with no E-/S- tag in which an I- tag ends an
+    entity is IOB-tagged, and raises ParseError at the first such tag (its
+    entities would otherwise decode to no spans at all).  Tag sets without
+    B-/I-/E-/S- prefixes, such as POS tags, are read as they are.
     """
     if alphabet is None:
         alphabet = LabelAlphabet("ner-tags")
     records = []
-    tokens, tag_names, width = [], [], None
+    tokens, tag_names, tag_lines, width = [], [], [], None
+    iob_end = None  # (line, tag) of the first I- tag that ends an entity
+    has_closer = False  # an E- or S- tag was seen
 
     def flush():
-        nonlocal tokens, tag_names, width
+        nonlocal tokens, tag_names, tag_lines, width, iob_end, has_closer
         if tokens:
             tags = TagSequence(tuple(alphabet.add(t) for t in tag_names))
             records.append(SentenceRecord(tokens, tags))
-        tokens, tag_names, width = [], [], None
+            has_closer = has_closer or any(t[:2] in ("E-", "S-") for t in tag_names)
+            if iob_end is None:
+                for tag, nxt, line in zip(tag_names, tag_names[1:] + ["O"], tag_lines):
+                    if tag[:2] == "I-" and nxt not in ("I" + tag[1:], "E" + tag[1:]):
+                        iob_end = (line, tag)
+                        break
+        tokens, tag_names, tag_lines, width = [], [], [], None
 
     for line_no, line in enumerate(_read_lines(source), start=1):
         if not line.strip():
@@ -316,7 +328,15 @@ def read_conll_ner(source, alphabet: LabelAlphabet | None = None):
             )
         tokens.append(cols[0])
         tag_names.append(cols[-1])
+        tag_lines.append(line_no)
     flush()
+    if iob_end is not None and not has_closer:
+        line, tag = iob_end
+        raise ParseError(
+            f"{tag} ends an entity and the file has no E-/S- tags: "
+            "this looks like IOB tagging, but BIOES tags are expected",
+            line,
+        )
     return records, alphabet
 
 

@@ -83,8 +83,10 @@ def lambda_schedule(step: int, cfg: AnnealConfig) -> float:
 
 
 def temper_rows(rows: np.ndarray, temperature: float) -> np.ndarray:
-    """p -> p^(1/T) renormalized per row; exact zeros stay exact zeros."""
-    if temperature == 1.0:
+    """p -> p^(1/T) renormalized per row; exact zeros stay exact zeros.
+    A block with no rows (the pair slices of a one-token sentence) comes
+    back unchanged."""
+    if temperature == 1.0 or rows.size == 0:
         return rows.copy()
     with np.errstate(divide="ignore"):
         logits = np.log(rows) / temperature

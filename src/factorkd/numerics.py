@@ -68,8 +68,42 @@ def softmax_last(a: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(a))
 
 
-def masked_inner(q: np.ndarray, s: np.ndarray) -> float:
-    """sum(q * s) treating q == 0 entries as contributing 0 even when the
-    paired score is -inf (forbidden substructures)."""
+def masked_product(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """q * s with q == 0 entries giving 0 even when the paired score is -inf
+    (forbidden substructures)."""
     with np.errstate(invalid="ignore"):
-        return float(np.where(q > 0, q * s, 0.0).sum())
+        return np.where(q > 0, q * s, 0.0)
+
+
+def masked_inner(q: np.ndarray, s: np.ndarray) -> float:
+    """sum(q * s), with q == 0 entries contributing 0 (see masked_product)."""
+    return float(masked_product(q, s).sum())
+
+
+class Runs:
+    """Consecutive runs of rows, the k-th run lengths[k] rows long, grouped
+    by length so that each sum over them is one reduction per length."""
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths)
+        starts = np.cumsum(lengths) - lengths
+        by_length = {}
+        for k, n in enumerate(lengths.tolist()):
+            by_length.setdefault(n, []).append(k)
+        self.n = len(lengths)
+        self.groups = [
+            (np.array(runs), starts[runs, None] + np.arange(n)) for n, runs in by_length.items()
+        ]
+
+    def sums(self, x: np.ndarray, flat: bool = False) -> np.ndarray:
+        """x[a:b].sum(axis=0) per run, or x[a:b].sum() with flat=True.
+
+        The runs of one length are reduced along an axis of their own, which
+        numpy sums exactly as it does each run alone, so every sum is
+        bit-identical to the per-run call.
+        """
+        out = np.empty((self.n,) if flat else (self.n,) + x.shape[1:])
+        for runs, idx in self.groups:
+            block = x[idx]
+            out[runs] = block.reshape(len(runs), -1).sum(axis=1) if flat else block.sum(axis=1)
+        return out

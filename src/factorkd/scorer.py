@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -212,17 +213,110 @@ class SlotBlock:
         grad.bias += coef.sum(axis=0)
 
 
-def build_slot_block(hasher: FeatureHasher, fvecs, n_labels: int) -> SlotBlock:
-    salts = hasher.label_salts(n_labels)
-    fmax = max(len(f.ids) for f in fvecs)
-    n = len(fvecs)
-    ids = np.zeros((n, fmax), dtype=np.int64)
-    vals = np.zeros((n, fmax))
+def _pad_features(fvecs, width: int):
+    ids = np.zeros((len(fvecs), width), dtype=np.int64)
+    vals = np.zeros((len(fvecs), width))
     for k, f in enumerate(fvecs):
         ids[k, : len(f.ids)] = f.ids
         vals[k, : len(f.ids)] = f.values
+    return ids, vals
+
+
+def build_slot_block(hasher: FeatureHasher, fvecs, n_labels: int) -> SlotBlock:
+    salts = hasher.label_salts(n_labels)
+    ids, vals = _pad_features(fvecs, max(len(f.ids) for f in fvecs))
     slots = ids[:, None, :] ^ salts[None, :, None]
     return SlotBlock(slots, vals)
+
+
+@dataclass
+class StackedBlock:
+    """Padded feature ids of a whole corpus of sites sharing a label space.
+
+    ids and vals are sites x max_features with zero padding; sentence k owns
+    rows offsets[k]:offsets[k+1].  Slots (ids ^ label salt) are formed per
+    gather, so the ids take 1/L of the room of the per-sentence SlotBlocks'
+    slots they stand for.  widths[r] is the width of the SlotBlock of row r's
+    sentence: scores are summed at that width, because einsum's summation
+    order depends on it, and so stay bit-identical to SlotBlock.scores.
+    """
+
+    ids: np.ndarray
+    vals: np.ndarray
+    widths: np.ndarray
+    offsets: np.ndarray
+    salts: np.ndarray
+
+    def rows(self, sentences) -> np.ndarray:
+        """Row ids of the given sentences' sites, sentence after sentence."""
+        starts = self.offsets[sentences]
+        lengths = self.offsets[np.asarray(sentences) + 1] - starts
+        return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(
+            lengths.sum()
+        )
+
+    def block(self, k: int) -> SlotBlock:
+        """Sentence k's own SlotBlock."""
+        a, b = self.offsets[k], self.offsets[k + 1]
+        width = self.widths[a]
+        slots = self.ids[a:b, None, :width] ^ self.salts[None, :, None]
+        return SlotBlock(slots, self.vals[a:b, :width].copy())
+
+    def scores(self, params: SparseParams, rows) -> np.ndarray:
+        widths = self.widths[rows]
+        groups = set(widths.tolist())
+        if len(groups) == 1:
+            return self._raw_scores(params, rows, groups.pop()) + params.bias
+        out = np.empty((len(rows), len(self.salts)))
+        for width in groups:
+            sel = widths == width
+            out[sel] = self._raw_scores(params, rows[sel], width)
+        return out + params.bias
+
+    def _raw_scores(self, params, rows, width):
+        ids = self.ids[rows, :width]
+        w = params.weights[ids[:, None, :] ^ self.salts[None, :, None]]
+        return np.einsum("slf,sf->sl", w, self.vals[rows, :width])
+
+    def scatter(self, grad: SparseParams, coef: np.ndarray, rows, runs):
+        """Accumulate d(loss)/d(score) per (row, label) into grad as the
+        rows' sentences (`runs` of rows, in order) would one after another
+        through SlotBlock.scatter: the weights in one sequential pass
+        (padded features add zeros), the bias one sentence sum at a time."""
+        slots = self.ids[rows][:, None, :] ^ self.salts[None, :, None]
+        values = coef[:, :, None] * self.vals[rows][:, None, :]
+        np.add.at(grad.weights, slots.reshape(-1), values.reshape(-1))
+        # numpy sums over a leading axis row after row, as `+=` per sentence
+        grad.bias[:] = np.vstack([grad.bias, runs.sums(coef)]).sum(axis=0)
+
+
+def _offsets(lengths) -> np.ndarray:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(lengths)
+    return offsets
+
+
+def stack_features(hasher: FeatureHasher, fvec_lists, n_labels: int) -> StackedBlock:
+    """One StackedBlock for per-sentence lists of site feature vectors."""
+    lengths = [len(fvecs) for fvecs in fvec_lists]
+    widths = [max(len(f.ids) for f in fvecs) for fvecs in fvec_lists]
+    ids, vals = _pad_features([f for fvecs in fvec_lists for f in fvecs], max(widths, default=0))
+    return StackedBlock(
+        ids, vals, np.repeat(widths, lengths), _offsets(lengths), hasher.label_salts(n_labels)
+    )
+
+
+def stack_slot_blocks(blocks, salts: np.ndarray) -> StackedBlock:
+    """The StackedBlock of already-built per-sentence SlotBlocks."""
+    lengths = [len(b.vals) for b in blocks]
+    widths = [b.vals.shape[1] for b in blocks]
+    offsets = _offsets(lengths)
+    ids = np.zeros((offsets[-1], max(widths, default=0)), dtype=np.int64)
+    vals = np.zeros(ids.shape)
+    for b, start, end, width in zip(blocks, offsets, offsets[1:], widths):
+        ids[start:end, :width] = b.slots[:, 0, :] ^ salts[0]
+        vals[start:end, :width] = b.vals
+    return StackedBlock(ids, vals, np.repeat(widths, lengths), offsets, salts)
 
 
 # ---------------------------------------------------------------------------

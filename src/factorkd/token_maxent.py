@@ -18,11 +18,19 @@ from .scorer import (
     FeatureHasher,
     SlotBlock,
     SparseParams,
+    StackedBlock,
     build_slot_block,
     decode_array,
     encode_array,
     featurize_token,
+    stack_features,
+    stack_slot_blocks,
 )
+
+# sites scored per pass when decoding a whole corpus: about one training
+# mini-batch, so decoding gathers (sites, labels, features) blocks no larger
+# than a training step does, and adds nothing to peak memory
+DECODE_CHUNK = 256
 
 
 @dataclass
@@ -49,6 +57,18 @@ class MaxEntTagger:
     def prepare(self, tokens) -> SlotBlock:
         fvecs = [featurize_token(self.hasher, tokens, i) for i in range(len(tokens))]
         return build_slot_block(self.hasher, fvecs, len(self.tags))
+
+    def prepare_corpus(self, token_lists) -> StackedBlock:
+        """Features of many sentences stacked into one block."""
+        fvec_lists = [
+            [featurize_token(self.hasher, tokens, i) for i in range(len(tokens))]
+            for tokens in token_lists
+        ]
+        return stack_features(self.hasher, fvec_lists, len(self.tags))
+
+    def stack(self, blocks) -> StackedBlock:
+        """One StackedBlock for per-sentence blocks made by `prepare`."""
+        return stack_slot_blocks(blocks, self.hasher.label_salts(len(self.tags)))
 
     def logits(self, prep: SlotBlock, scale: float = 1.0) -> np.ndarray:
         return prep.scores(self.params) * scale
@@ -78,6 +98,16 @@ class MaxEntTagger:
 
     def decode(self, prep: SlotBlock) -> TagSequence:
         return TagSequence(tuple(int(t) for t in np.argmax(self.logits(prep), axis=1)))
+
+    def decode_corpus(self, corpus: StackedBlock) -> list:
+        """Per-site argmax over a whole stacked corpus, one TagSequence per
+        sentence; the same tags as `decode` sentence by sentence."""
+        n_rows = corpus.offsets[-1]
+        tags = []
+        for a in range(0, n_rows, DECODE_CHUNK):
+            rows = np.arange(a, min(a + DECODE_CHUNK, n_rows))
+            tags.extend(np.argmax(corpus.scores(self.params, rows), axis=1).tolist())
+        return [TagSequence(tags[a:b]) for a, b in zip(corpus.offsets, corpus.offsets[1:])]
 
     def snapshot(self):
         return self.params.copy()

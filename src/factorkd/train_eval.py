@@ -3,7 +3,9 @@
 Models start from zero parameters, so a run is fully determined by its
 seed (which only drives sentence shuffling) and config.  When distilling,
 each sentence contributes lambda * KD + (1 - lambda) * target, with lambda
-annealed per optimizer step; both parts share one forward pass.
+annealed per optimizer step; both parts share one forward pass.  A MaxEnt
+corpus is stacked once into a StackedBlock, and each mini-batch of it is one
+gather, softmax and scatter over all its sites.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .distill import (
     CASES,
     AnnealConfig,
     TemperatureConfig,
+    apply_temperature,
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
 )
 from .head_parser import FirstOrderParser, SecondOrderParser
-from .numerics import log_softmax, masked_inner
+from .numerics import Runs, log_softmax, masked_inner, masked_product
+from .scorer import StackedBlock
 from .span_ner import SpanNerModel
 from .token_maxent import MaxEntTagger
 
@@ -189,6 +193,30 @@ def _step_maxent(model, prep, gold, table, lam, grads, coef):
     return loss
 
 
+def _step_maxent_batch(model, corpus, sentences, tags, q, lam, grads, coef):
+    """`_step_maxent` for a whole mini-batch of a stacked corpus: one score,
+    softmax and scatter over the sentences' sites.  `tags` and `q` are the
+    gold tags and teacher rows of every site of the corpus.  Returns the
+    per-sentence losses in batch order, each bit-identical to the
+    per-sentence step's, and leaves the same gradient in `grads`."""
+    rows = corpus.rows(sentences)
+    runs = Runs(corpus.offsets[sentences + 1] - corpus.offsets[sentences])
+    logp = log_softmax(corpus.scores(model.params, rows))
+    p = np.exp(logp)
+    idx = np.arange(len(rows))
+    gold = tags[rows]
+    loss = (1.0 - lam) * -runs.sums(logp[idx, gold], flat=True)
+    d = p.copy()
+    d[idx, gold] -= 1.0
+    d *= 1.0 - lam
+    if lam > 0.0:
+        qb = q[rows]
+        loss -= lam * runs.sums(masked_product(qb, logp), flat=True)
+        d += lam * (p - qb)
+    corpus.scatter(grads, coef * d, rows, runs)
+    return loss
+
+
 def _step_crf(model, prep, gold, table, lam, grads, coef, chain=None):
     if chain is None:
         lat = model.lattice(prep)
@@ -309,38 +337,79 @@ def sentence_step(model, prep, gold, table, lam, grads, coef, student_temp=1.0, 
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Prepared corpora and evaluation
 
 
-def evaluate(model, records, prepared=None):
-    """(primary metric, metric dict) for a model on gold-bearing records."""
+def prepare_records(model, records):
+    """Features of a corpus as `train` and `evaluate` consume them: one
+    StackedBlock for a MaxEnt model, a list of per-sentence preps otherwise."""
+    if isinstance(model, MaxEntTagger):
+        return model.prepare_corpus([r.tokens for r in records])
+    return [model.prepare(r.tokens) for r in records]
+
+
+def _prepared(model, records, prepared):
     if prepared is None:
-        prepared = [model.prepare(r.tokens) for r in records]
-    preds = [model.decode(p) for p in prepared]
+        return prepare_records(model, records)
+    if isinstance(model, MaxEntTagger) and not isinstance(prepared, StackedBlock):
+        return model.stack(prepared)  # per-sentence SlotBlocks
+    return prepared
+
+
+def _bioes_spans(model, codec, seqs):
+    # tags that do not parse as BIOES count as O for span extraction
+    tag_strings = [model.tags.label(i) for i in range(len(model.tags))]
+    remap = np.array([codec.tags.index(s) if s in codec.tags else 0 for s in tag_strings])
+    return [codec.bioes_to_spans(TagSequence(tuple(remap[list(t.tags)]))) for t in seqs]
+
+
+def metric_gold(model, records):
+    """The gold side of `evaluate`'s metric: span sets for a tagger with
+    BIOES tags, the records' own gold otherwise."""
     golds = [r.gold for r in records]
     if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
         codec = bioes_codec_from_tags(model.tags)
+        if len(codec.types):
+            return _bioes_spans(model, codec, golds)
+    return golds
+
+
+def evaluate(model, records, prepared=None, gold=None):
+    """(primary metric, metric dict) for a model on gold-bearing records.
+
+    `prepared` (from `prepare_records`, or per-sentence preps) and `gold`
+    (from `metric_gold`) may be passed to share that work across calls.  A
+    MaxEnt model decodes the whole corpus in one pass.
+    """
+    prepared = _prepared(model, records, prepared)
+    if gold is None:
+        gold = metric_gold(model, records)
+    if isinstance(model, MaxEntTagger):
+        preds = model.decode_corpus(prepared)
+    else:
+        preds = [model.decode(p) for p in prepared]
+    if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
+        codec = bioes_codec_from_tags(model.tags)
         if len(codec.types) == 0:
-            acc = token_accuracy(preds, golds)
+            acc = token_accuracy(preds, gold)
             return acc, {"token_accuracy": acc}
-        tag_strings = [model.tags.label(i) for i in range(len(model.tags))]
-        # tags that do not parse as BIOES count as O for span extraction
-        remap = np.array([codec.tags.index(s) if s in codec.tags else 0 for s in tag_strings])
-        preds = [codec.bioes_to_spans(TagSequence(tuple(remap[list(t.tags)]))) for t in preds]
-        golds = [codec.bioes_to_spans(TagSequence(tuple(remap[list(g.tags)]))) for g in golds]
-        p, r, f1 = entity_f1(preds, golds)
+        p, r, f1 = entity_f1(_bioes_spans(model, codec, preds), gold)
         return f1, {"precision": p, "recall": r, "f1": f1}
     if isinstance(model, (FirstOrderParser, SecondOrderParser)):
-        u, l = uas_las(preds, golds)
+        u, l = uas_las(preds, gold)
         return l, {"uas": u, "las": l}
     if isinstance(model, SpanNerModel):
-        p, r, f1 = entity_f1(preds, golds)
+        p, r, f1 = entity_f1(preds, gold)
         return f1, {"precision": p, "recall": r, "f1": f1}
     raise TypeError(f"cannot evaluate {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Trainer
+
+
+class DivergedError(ValueError):
+    """A training epoch ended with a non-finite loss."""
 
 
 def pseudo_label_records(teacher, records):
@@ -362,10 +431,12 @@ def train(
 
     Returns (model, manifest); the model carries the best checkpoint's
     parameters, or the last epoch's when there are no dev records.
-    `prepared`/`teacher_tables` may be passed to share work across runs
-    (they must align with train_records).  A CRF mini-batch runs one
-    batched forward-backward; the per-sentence steps then consume it in
-    batch order.
+    `prepared`/`dev_prepared` (from `prepare_records`, or per-sentence
+    preps) and `teacher_tables` may be passed to share work across runs
+    (they must align with the records).  A MaxEnt mini-batch is one batched
+    step over its sites; a CRF mini-batch runs one batched forward-backward
+    that the per-sentence steps then consume in batch order.  Raises
+    DivergedError (a ValueError) if an epoch's training loss is not finite.
     """
     if not train_records:
         raise ValueError("training set is empty")
@@ -380,16 +451,22 @@ def train(
     for index, rec in enumerate(train_records):
         _check_gold(model, rec.gold, index)
 
-    if prepared is None:
-        prepared = [model.prepare(r.tokens) for r in train_records]
-    if dev_prepared is None:
-        dev_prepared = [model.prepare(r.tokens) for r in dev_records]
+    prepared = _prepared(model, train_records, prepared)
+    dev_prepared = _prepared(model, dev_records, dev_prepared)
     if distill_cfg is not None and teacher_tables is None:
         temp = distill_cfg.temp()
         teacher_tables = [
             teacher_marginal_table(distill_cfg.case, teacher, r.tokens, temp)
             for r in train_records
         ]
+    maxent = isinstance(model, MaxEntTagger)
+    if maxent:
+        site_tags = np.array([t for r in train_records for t in r.gold.tags], dtype=np.int64)
+        site_q = None
+        if teacher_tables is not None:
+            if [len(q.rows) for q in teacher_tables] != [len(r) for r in train_records]:
+                raise ValueError("teacher tables do not align with the training records")
+            site_q = np.concatenate([q.rows for q in teacher_tables])
 
     n = len(train_records)
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -420,7 +497,8 @@ def train(
 
     best_metric, best_snap, best_epoch = -1.0, model.snapshot(), 0
     if dev_records:
-        best_metric, _ = evaluate(model, dev_records, dev_prepared)
+        dev_gold = metric_gold(model, dev_records)
+        best_metric, _ = evaluate(model, dev_records, dev_prepared, dev_gold)
 
     rng = np.random.default_rng(cfg.seed)
     grads = model.new_grads()
@@ -436,22 +514,36 @@ def train(
             lam = lambda_schedule(step, anneal) if anneal is not None else 0.0
             grads.fill(0.0)
             coef = 1.0 / len(batch)
-            chains = [None] * len(batch)
-            if is_crf and not _split_step(lam, student_temp):
-                lats = [model.lattice(prepared[i]) for i in batch]
-                log_z, margs = chain_crf.forward_backward(lats)
-                chains = list(zip(lats, margs, log_z))
-            for i, chain in zip(batch, chains):
-                table = teacher_tables[i] if teacher_tables is not None else None
-                epoch_loss += sentence_step(
-                    model, prepared[i], train_records[i].gold, table, lam, grads, coef,
-                    student_temp=student_temp, chain=chain,
+            split = _split_step(lam, student_temp)
+            if maxent and not split:
+                losses = _step_maxent_batch(
+                    model, prepared, batch, site_tags, site_q, lam, grads, coef
                 )
+                for loss in losses.tolist():  # in batch order, as the per-sentence sum
+                    epoch_loss += loss
+            else:
+                chains = [None] * len(batch)
+                if is_crf and not split:
+                    lats = [model.lattice(prepared[i]) for i in batch]
+                    log_z, margs = chain_crf.forward_backward(lats)
+                    chains = list(zip(lats, margs, log_z))
+                for i, chain in zip(batch, chains):
+                    table = teacher_tables[i] if teacher_tables is not None else None
+                    prep = prepared.block(i) if maxent else prepared[i]
+                    epoch_loss += sentence_step(
+                        model, prep, train_records[i].gold, table, lam, grads, coef,
+                        student_temp=student_temp, chain=chain,
+                    )
             model.sgd_step(grads, cfg.lr)
             step += 1
+        if not np.isfinite(epoch_loss):
+            raise DivergedError(
+                f"training diverged: epoch {epoch} has a non-finite loss ({epoch_loss}); "
+                f"try a smaller learning rate than {cfg.lr}"
+            )
         metric = best_metric
         if dev_records:
-            metric, _ = evaluate(model, dev_records, dev_prepared)
+            metric, _ = evaluate(model, dev_records, dev_prepared, dev_gold)
             if metric > best_metric:
                 best_metric, best_snap, best_epoch = metric, model.snapshot(), epoch
         manifest.history.append(
@@ -465,7 +557,7 @@ def train(
     manifest.best_epoch = best_epoch
     manifest.best_dev = max(best_metric, 0.0)
     if dev_records:
-        _, manifest.dev_metrics = evaluate(model, dev_records, dev_prepared)
+        _, manifest.dev_metrics = evaluate(model, dev_records, dev_prepared, dev_gold)
     return model, manifest
 
 
@@ -500,19 +592,30 @@ def distill_grid_search(
     mode: str = "local",
     unlabeled=None,
 ) -> GridResult:
-    """Mean dev metric over seeds for every (temperature, anneal rate);
-    teacher tables and student feature preparation are shared across runs."""
+    """Mean dev metric over seeds for every (temperature, anneal rate).
+
+    Student features are prepared once per grid and teacher tables once per
+    temperature.  In local mode the table at T is the T = 1 table tempered,
+    so the teacher runs once per sentence for the whole grid; global mode
+    rescales the teacher's scores for every T.
+    """
     records = list(train_records)
     if unlabeled:
         records.extend(pseudo_label_records(teacher, unlabeled))
     probe = model_factory()
-    prepared = [probe.prepare(r.tokens) for r in records]
-    dev_prepared = [probe.prepare(r.tokens) for r in dev_records]
+    prepared = prepare_records(probe, records)
+    dev_prepared = prepare_records(probe, dev_records)
+    if mode == "local":
+        untempered = TemperatureConfig(1.0, mode)
+        base = [teacher_marginal_table(case, teacher, r.tokens, untempered) for r in records]
 
     rows = []
     for t in temperatures:
-        temp = TemperatureConfig(t, mode)
-        tables = [teacher_marginal_table(case, teacher, r.tokens, temp) for r in records]
+        if mode == "local":
+            tables = [apply_temperature(q, t) for q in base]
+        else:
+            temp = TemperatureConfig(t, mode)
+            tables = [teacher_marginal_table(case, teacher, r.tokens, temp) for r in records]
         for rate in rates:
             devs = []
             for seed in seeds:

@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from factorkd import corpus
-from factorkd.cli import main
+from factorkd.cli import DIVERGED_EXIT, main
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,21 @@ def test_unknown_flag_exits_two(ner_files):
     with pytest.raises(SystemExit) as e:
         main(["eval", "--nope"])
     assert e.value.code == 2
+
+
+def test_diverging_training_exits_nonzero_with_the_epoch(ner_files, capsys):
+    out = os.path.join(ner_files["root"], "diverged.json")
+    with np.errstate(all="ignore"):
+        code = main(
+            [
+                "train-teacher", "--task", "ner-crf",
+                "--train", ner_files["train"], "--dev", ner_files["dev"],
+                "--out", out, "--epochs", "2", "--hash-bits", "12", "--lr", "1e300", "--batch-size", "2",
+            ]
+        )
+    assert code == DIVERGED_EXIT
+    assert "epoch 1" in capsys.readouterr().err
+    assert not os.path.exists(out + ".manifest.json")
 
 
 def test_pseudo_label_round_trip(ner_files, capsys):

@@ -96,6 +96,23 @@ def test_read_ner_ragged_columns_report_line():
     assert err.value.line_no == 2
 
 
+def test_read_ner_rejects_iob_tags_with_the_line():
+    data = b"John B-PER\nSmith I-PER\nsaid O\n\n"
+    with pytest.raises(ParseError, match="BIOES") as err:
+        read_conll_ner(io.BytesIO(data))
+    assert err.value.line_no == 2
+
+
+def test_read_ner_accepts_bioes_and_non_entity_tags():
+    bioes = b"John B-PER\nSmith E-PER\nsaid O\nit S-LOC\n\n"
+    assert len(read_conll_ner(io.BytesIO(bioes))[0]) == 1
+    pos = b"the DT\ndog NN\nruns VBZ\n\n"
+    assert len(read_conll_ner(io.BytesIO(pos))[0]) == 1
+    # an unconstrained decoder's stray fragment in an otherwise BIOES file
+    noisy = b"a B-PER\nb I-PER\nc O\n\nd S-LOC\n\n"
+    assert len(read_conll_ner(io.BytesIO(noisy))[0]) == 2
+
+
 def test_read_conllu_single_root():
     data = b"1\tdog\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
     records, rels = read_conllu(io.BytesIO(data))

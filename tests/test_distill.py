@@ -14,6 +14,7 @@ from factorkd.distill import (
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
+    temper_rows,
 )
 from factorkd.head_parser import ArcDistributions, self_mask
 from factorkd.numerics import softmax_last
@@ -171,6 +172,29 @@ def test_local_temperature_keeps_exact_zeros():
     hot = apply_temperature(rows, 3.0, "local")
     assert (rows.rows == 0.0).sum() > 0
     np.testing.assert_array_equal(hot.rows == 0.0, rows.rows == 0.0)
+
+
+@pytest.mark.parametrize("case", ["1a", "3"])
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_one_token_sentence_chain_tables_at_every_temperature(case, mode):
+    rng = np.random.default_rng(23)
+    teacher = rand_model("ner-crf" if case == "1a" else "ner-maxent", rng, n_labels=3, bits=10)
+    tokens = rand_tokens(rng, 1)
+    plain = teacher_marginal_table(case, teacher, tokens, TemperatureConfig(1.0, mode))
+    for t in (1.0, 2.0, 4.0):
+        table = teacher_marginal_table(case, teacher, tokens, TemperatureConfig(t, mode))
+        assert table.pairwise.shape == (0, 3, 3)
+        np.testing.assert_allclose(table.unary.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(
+            table.unary.argmax(axis=1), plain.unary.argmax(axis=1)
+        )
+
+
+def test_temper_rows_of_an_empty_block_is_unchanged():
+    empty = np.zeros((0, 9))
+    for t in (1.0, 2.0):
+        out = temper_rows(empty, t)
+        assert out.shape == (0, 9) and out is not empty
 
 
 def test_apply_temperature_validation():

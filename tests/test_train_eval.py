@@ -3,12 +3,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from factorkd import chain_crf, corpus, models
-from factorkd.corpus import HeadAssignment, LabelAlphabet, SpanSet, TagSequence, BioesCodec
+from factorkd import chain_crf, corpus, models, token_maxent, train_eval
+from factorkd.corpus import (
+    BioesCodec,
+    HeadAssignment,
+    LabelAlphabet,
+    SentenceRecord,
+    SpanSet,
+    TagSequence,
+)
 from factorkd.distill import TemperatureConfig, kd_loss_global, kd_loss_local, teacher_marginal_table
 from factorkd.train_eval import (
     DistillConfig,
+    DivergedError,
     TrainConfig,
     distill_grid_search,
     entity_f1,
@@ -244,28 +253,166 @@ CRF_DIGESTS = {
 }
 
 
+def _digests(tmp_path, model, manifest, name):
+    models.save_model(model, tmp_path / name)
+    text = json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2)
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(),
+        f"{name}_manifest": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
 def test_crf_teacher_and_1a_student_artifacts_are_pinned(tmp_path):
     recs, tags = corpus.synth_generate("chain", 160, max_len=7, min_len=1, seed=7)
     tr, dv = recs[:120], recs[120:]
-
-    def digests(model, manifest, name):
-        models.save_model(model, tmp_path / name)
-        text = json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2)
-        return {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(),
-            f"{name}_manifest": hashlib.sha256(text.encode()).hexdigest(),
-        }
-
     teacher = models.new_model("ner-crf", tags, bits=12, constrain_bioes=True)
     teacher, manifest = train(teacher, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=3))
-    got = digests(teacher, manifest, "teacher")
+    got = _digests(tmp_path, teacher, manifest, "teacher")
     student = models.new_model("ner-crf", tags, bits=12)
     student, manifest = train(
         student, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=4),
         distill_cfg=DistillConfig("1a", temperature=2.0, temp_mode="global"), teacher=teacher,
     )
-    got.update(digests(student, manifest, "student"))
+    got.update(_digests(tmp_path, student, manifest, "student"))
     assert got == CRF_DIGESTS
+
+
+# sha256 of MaxEnt model files and manifests as written when every MaxEnt
+# sentence was its own step and every dev sentence its own decode; the
+# stacked corpus and the batched step must not move a single bit
+MAXENT_DIGESTS = {
+    "baseline": "96b49a1b98875e057d5417196fd4eb5890c22e36559744a31327e68df1e04285",
+    "baseline_manifest": "c242ad1802f1e4ad71dfb15c2b50660d6c1cfcf2499bcb7b2335708f0e388b19",
+    "student_2a": "c1accb9dab59414b3b383d05242817010b24cf718a595bcabc39193eddda5a42",
+    "student_2a_manifest": "934203f4a1607cdd1c56395557ac13633d74a53165d0071955cc52487976568d",
+    "student_4": "2cc706d8e7f2889a11a8a14af51a839746cd4d77c99f22553b10d1ba380d9195",
+    "student_4_manifest": "3936df19c8d760fdaa12d0ea9a70abe19f97ae66a107fceeef6e1a6d8e8247ba",
+}
+
+
+def test_maxent_baseline_and_2a_and_case4_students_are_pinned(tmp_path):
+    recs, tags = corpus.synth_generate("chain", 160, max_len=8, min_len=1, seed=7)
+    tr, dv = recs[:120], recs[120:]
+    base = models.new_model("ner-maxent", tags, bits=12)
+    base, manifest = train(base, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=3))
+    got = _digests(tmp_path, base, manifest, "baseline")
+    teacher = models.new_model("ner-crf", tags, bits=12, constrain_bioes=True)
+    teacher, _ = train(teacher, tr, dv, TrainConfig(epochs=2, lr=0.2, batch_size=16, seed=3))
+    student, manifest = train(
+        models.new_model("ner-maxent", tags, bits=12), tr, dv,
+        TrainConfig(epochs=3, lr=0.2, batch_size=32, seed=4),
+        distill_cfg=DistillConfig("2a", temperature=2.0), teacher=teacher,
+    )
+    got.update(_digests(tmp_path, student, manifest, "student_2a"))
+
+    spans, types = corpus.synth_generate("spans", 100, max_len=8, min_len=1, seed=8)
+    codec = BioesCodec(types.freeze())
+    span_teacher = models.new_model("ner-span", types, bits=12)
+    span_teacher, _ = train(
+        span_teacher, spans[:80], spans[80:], TrainConfig(epochs=2, lr=0.3, batch_size=16, seed=1)
+    )
+    bioes = [SentenceRecord(r.tokens, codec.spans_to_bioes(r.gold, len(r.tokens))) for r in spans]
+    student, manifest = train(
+        models.new_model("ner-maxent", codec.tags, bits=12), bioes[:80], bioes[80:],
+        TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=5),
+        distill_cfg=DistillConfig("4", temperature=2.0), teacher=span_teacher,
+    )
+    got.update(_digests(tmp_path, student, manifest, "student_4"))
+    assert got == MAXENT_DIGESTS
+
+
+# words whose hashed feature count ranges from 5 ("x") to 10 ("Maria"), so
+# that sentences' own blocks have different widths
+_MIXED_WIDTH_WORDS = ["x", "Zb", "aa", "aba", "abc", "runs", "Maria", "tok7"]
+
+
+def _mixed_sentences(rng, lengths):
+    return [[_MIXED_WIDTH_WORDS[k] for k in rng.integers(len(_MIXED_WIDTH_WORDS), size=n)]
+            for n in lengths]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lengths=st.lists(st.integers(1, 8), min_size=1, max_size=10),
+    lam=st.sampled_from([0.0, 0.3, 1.0]),
+    bioes=st.booleans(),
+)
+@example(seed=0, lengths=[1, 1, 1], lam=0.3, bioes=False)
+@example(seed=1, lengths=[8, 1, 5, 8, 2], lam=1.0, bioes=True)
+@settings(max_examples=40, deadline=None)
+def test_batched_maxent_step_equals_sentence_steps(seed, lengths, lam, bioes):
+    """One batched step leaves exactly the gradient, bias and losses of the
+    per-sentence steps run in batch order."""
+    rng = np.random.default_rng(seed)
+    if bioes:  # case 4: BIOES rows of a span teacher over one entity type
+        teacher, case = rand_model("ner-span", rng, n_labels=1, bits=10), "4"
+        student = rand_model("ner-maxent", rng, n_labels=5, bits=10)
+    else:  # case 2a: token rows of a chain teacher
+        teacher, case = rand_model("ner-crf", rng, n_labels=3, bits=10), "2a"
+        student = rand_model("ner-maxent", rng, n_labels=3, bits=10)
+    L = len(student.tags)
+    sentences = _mixed_sentences(rng, lengths)
+    temp = TemperatureConfig(2.0, "local")
+    tables = [teacher_marginal_table(case, teacher, t, temp) for t in sentences]
+    golds = [TagSequence(rng.integers(L, size=len(t))) for t in sentences]
+    batch = rng.permutation(len(sentences))
+    coef = 1.0 / len(batch)
+
+    want = student.new_grads()
+    want_losses = [
+        sentence_step(student, student.prepare(sentences[i]), golds[i], tables[i], lam, want, coef)
+        for i in batch
+    ]
+
+    stacked = student.prepare_corpus(sentences)
+    got = student.new_grads()
+    tags = np.array([t for g in golds for t in g.tags])
+    q = np.concatenate([t.rows for t in tables])
+    got_losses = train_eval._step_maxent_batch(student, stacked, batch, tags, q, lam, got, coef)
+
+    assert got_losses.tolist() == want_losses
+    np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(got.bias, want.bias)
+    # the stack of the per-sentence blocks is the same block
+    again = student.stack([student.prepare(t) for t in sentences])
+    for name in ("ids", "vals", "widths", "offsets", "salts"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(stacked, name))
+    for k, t in enumerate(sentences):
+        one, ref = stacked.block(k), student.prepare(t)
+        np.testing.assert_array_equal(one.slots, ref.slots)
+        np.testing.assert_array_equal(one.vals, ref.vals)
+
+
+def test_batched_evaluate_equals_per_sentence_decoding(monkeypatch):
+    rng = np.random.default_rng(5)
+    recs, tags = corpus.synth_generate("chain", 40, max_len=8, min_len=1, seed=9)
+    recs += [SentenceRecord(t, TagSequence(rng.integers(len(tags), size=len(t))))
+             for t in _mixed_sentences(rng, [1, 3, 8, 2])]
+    model = models.new_model("ner-maxent", tags, bits=10)
+    model.params.weights[:] = rng.normal(size=model.params.weights.shape)
+    model.params.bias[:] = rng.normal(size=model.params.bias.shape)
+
+    per_sentence = [model.decode(model.prepare(r.tokens)) for r in recs]
+    codec = corpus.bioes_codec_from_tags(tags)
+    want = entity_f1([codec.bioes_to_spans(t) for t in per_sentence],
+                     [codec.bioes_to_spans(r.gold) for r in recs])
+    stacked = model.prepare_corpus([r.tokens for r in recs])
+    assert len(set(stacked.widths.tolist())) > 1
+    monkeypatch.setattr(token_maxent, "DECODE_CHUNK", 7)  # passes split inside sentences
+    assert model.decode_corpus(stacked) == per_sentence
+    metric, metrics = evaluate(model, recs)
+    assert metric == want[2]
+    assert (metrics["precision"], metrics["recall"], metrics["f1"]) == want
+    blocks = [model.prepare(r.tokens) for r in recs]
+    assert evaluate(model, recs, blocks) == (metric, metrics)
+    assert evaluate(model, recs, None, train_eval.metric_gold(model, recs)) == (metric, metrics)
+
+
+def test_diverging_run_raises_naming_the_epoch():
+    tr, dv, tags = _tiny_chain()
+    model = models.new_model("ner-crf", tags, bits=10)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError, match="epoch 1 "):
+        train(model, tr, dv, TrainConfig(epochs=2, lr=1e300, batch_size=2, seed=1))
 
 
 def test_same_seed_identical_manifests():
