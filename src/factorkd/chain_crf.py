@@ -36,11 +36,9 @@ from .corpus import LabelAlphabet, TagSequence, BioesCodec
 from .numerics import NEG_INF, logsumexp_last, softmax_last
 from .scorer import (
     FeatureHasher,
+    HashedModel,
     SlotBlock,
-    SparseParams,
     build_slot_block,
-    decode_array,
-    encode_array,
     featurize_token,
 )
 
@@ -273,34 +271,25 @@ def bioes_masks(codec: BioesCodec):
 # Hashed linear CRF tagger
 
 
-@dataclass
-class ChainGrads:
-    params: SparseParams
-    trans: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-
-    def fill(self, v=0.0):
-        self.params.fill(v)
-        self.trans.fill(v)
-        self.start.fill(v)
-        self.stop.fill(v)
-
-
-class ChainCrfTagger:
+class ChainCrfTagger(HashedModel):
     """Linear-chain CRF with hashed emission features and dense transition,
     start, and stop parameters."""
 
     family = "ner-crf"
+    alphabet_key = "tags"
+    options = ("constrain_bioes",)
 
     def __init__(self, tags: LabelAlphabet, bits: int = 20, constrain_bioes: bool = False):
         self.tags = tags
         self.hasher = FeatureHasher(bits)
         L = len(tags)
-        self.params = SparseParams.zeros(self.hasher, L)
-        self.trans = np.zeros((L, L))
-        self.start = np.zeros(L)
-        self.stop = np.zeros(L)
+        self.params = {
+            "weights": np.zeros(self.hasher.size),
+            "bias": np.zeros(L),
+            "trans": np.zeros((L, L)),
+            "start": np.zeros(L),
+            "stop": np.zeros(L),
+        }
         self.constrain_bioes = constrain_bioes
         self._masks = None
         if constrain_bioes:
@@ -319,10 +308,11 @@ class ChainCrfTagger:
     def lattice(self, prep: SlotBlock, scale: float = 1.0) -> ChainLattice:
         n = prep.vals.shape[0]
         L = len(self.tags)
-        em = prep.scores(self.params) * scale
-        tr = np.broadcast_to(self.trans * scale, (max(n - 1, 0), L, L)).copy()
-        start = self.start * scale
-        stop = self.stop * scale
+        p = self.params
+        em = prep.scores(p["weights"], p["bias"]) * scale
+        tr = np.broadcast_to(p["trans"] * scale, (max(n - 1, 0), L, L)).copy()
+        start = p["start"] * scale
+        stop = p["stop"] * scale
         if self._masks is not None:
             tr += self._masks[0]
             start = start + self._masks[1]
@@ -346,61 +336,11 @@ class ChainCrfTagger:
             return f"stop {label(tags[-1])}"
         return None
 
-    def new_grads(self) -> ChainGrads:
-        L = len(self.tags)
-        return ChainGrads(self.params.zeros_like(), np.zeros((L, L)), np.zeros(L), np.zeros(L))
-
-    def scatter_lattice_grad(self, prep: SlotBlock, g: LatticeGrad, out: ChainGrads, coef=1.0):
-        prep.scatter(out.params, coef * g.emissions)
-        out.trans += coef * g.transitions.sum(axis=0)
-        out.start += coef * g.start
-        out.stop += coef * g.stop
-
-    def sgd_step(self, grads: ChainGrads, lr: float):
-        self.params.add_scaled(grads.params, -lr)
-        self.trans -= lr * grads.trans
-        self.start -= lr * grads.start
-        self.stop -= lr * grads.stop
+    def scatter_lattice_grad(self, prep: SlotBlock, g: LatticeGrad, out: dict, coef=1.0):
+        prep.scatter(out["weights"], out["bias"], coef * g.emissions)
+        out["trans"] += coef * g.transitions.sum(axis=0)
+        out["start"] += coef * g.start
+        out["stop"] += coef * g.stop
 
     def decode(self, prep: SlotBlock) -> TagSequence:
         return viterbi(self.lattice(prep))
-
-    def snapshot(self):
-        return (self.params.copy(), self.trans.copy(), self.start.copy(), self.stop.copy())
-
-    def restore(self, snap):
-        self.params, self.trans, self.start, self.stop = (
-            snap[0].copy(),
-            snap[1].copy(),
-            snap[2].copy(),
-            snap[3].copy(),
-        )
-
-    def to_payload(self):
-        return {
-            "family": self.family,
-            "hash_bits": self.hasher.bits,
-            "templates": "tmpl-v1",
-            "constrain_bioes": self.constrain_bioes,
-            "alphabets": {"tags": self.tags.to_dict()},
-            "blocks": {
-                "weights": encode_array(self.params.weights),
-                "bias": encode_array(self.params.bias),
-                "trans": encode_array(self.trans),
-                "start": encode_array(self.start),
-                "stop": encode_array(self.stop),
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, p):
-        tags = LabelAlphabet.from_dict(p["alphabets"]["tags"])
-        model = cls(tags, bits=p["hash_bits"], constrain_bioes=p.get("constrain_bioes", False))
-        L = len(tags)
-        model.params = SparseParams(
-            decode_array(p["blocks"]["weights"]), decode_array(p["blocks"]["bias"])
-        )
-        model.trans = decode_array(p["blocks"]["trans"], (L, L))
-        model.start = decode_array(p["blocks"]["start"])
-        model.stop = decode_array(p["blocks"]["stop"])
-        return model

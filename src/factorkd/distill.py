@@ -7,8 +7,7 @@ BIOES rows for the span-teacher case.  Globally normalized students pay
 their own log-partition term; locally normalized students reduce to a sum
 of per-site cross-entropies.
 
-Temperature is applied to the teacher only (a student-side divisor exists
-behind ``student_temp`` but defaults to 1): global mode divides every score
+Temperature is applied to the teacher only: global mode divides every score
 entering the teacher's marginalization by T, local mode computes marginals
 at T = 1 and then re-normalizes each substructure's own distribution after
 dividing its log by T.
@@ -170,14 +169,14 @@ def teacher_marginal_table(case, teacher, tokens, temp: TemperatureConfig):
 # Factorized KD losses
 
 
-def _rows_cross_entropy(q: np.ndarray, logits: np.ndarray, student_temp: float):
-    lp = log_softmax(logits / student_temp)
+def _rows_cross_entropy(q: np.ndarray, logits: np.ndarray):
+    lp = log_softmax(logits)
     loss = -masked_inner(q, lp)
-    d_logits = (np.exp(lp) - q) / student_temp
+    d_logits = np.exp(lp) - q
     return loss, d_logits
 
 
-def kd_loss_local(table, student_logits, student_temp: float = 1.0):
+def kd_loss_local(table, student_logits):
     """Sum over substructure sites of the cross-entropy between the teacher
     row and the student's local softmax.
 
@@ -189,18 +188,18 @@ def kd_loss_local(table, student_logits, student_temp: float = 1.0):
         q = table.rows
         if q.shape != student_logits.shape:
             raise ValueError(f"teacher table {q.shape} != student logits {student_logits.shape}")
-        return _rows_cross_entropy(q, student_logits, student_temp)
+        return _rows_cross_entropy(q, student_logits)
     if isinstance(table, ArcDistributions):
         arc_logits, rel_logits = student_logits
         if table.head_rows.shape != arc_logits.shape or table.rel_rows.shape != rel_logits.shape:
             raise ValueError("teacher arc table does not match student logit shapes")
-        loss_h, d_arc = _rows_cross_entropy(table.head_rows, arc_logits, student_temp)
-        loss_r, d_rel = _rows_cross_entropy(table.rel_rows, rel_logits, student_temp)
+        loss_h, d_arc = _rows_cross_entropy(table.head_rows, arc_logits)
+        loss_r, d_rel = _rows_cross_entropy(table.rel_rows, rel_logits)
         return loss_h + loss_r, (d_arc, d_rel)
     raise TypeError(f"kd_loss_local cannot consume {type(table).__name__}")
 
 
-def kd_loss_global(table: ChainMarginals, lat: ChainLattice, student_temp: float = 1.0):
+def kd_loss_global(table: ChainMarginals, lat: ChainLattice):
     """Factorized KD loss against a globally normalized chain student:
     minus the teacher-expected student score plus the student log-partition.
 
@@ -215,17 +214,16 @@ def kd_loss_global(table: ChainMarginals, lat: ChainLattice, student_temp: float
     n, L = lat.emissions.shape
     if table.unary.shape != (n, L):
         raise ValueError(f"teacher table {table.unary.shape} != student lattice ({n}, {L})")
-    slat = lat if student_temp == 1.0 else lat.scaled(1.0 / student_temp)
-    (log_z,), (marg,) = chain_crf.forward_backward([slat])
+    (log_z,), (marg,) = chain_crf.forward_backward([lat])
 
     q_first = table.unary[0]
     q_last = table.unary[n - 1]
-    expected = masked_inner(q_first, slat.start + slat.emissions[0]) + masked_inner(
-        q_last, slat.stop
+    expected = masked_inner(q_first, lat.start + lat.emissions[0]) + masked_inner(
+        q_last, lat.stop
     )
     for i in range(n - 1):
         expected += masked_inner(
-            table.pairwise[i], slat.transitions[i] + slat.emissions[i + 1][None, :]
+            table.pairwise[i], lat.transitions[i] + lat.emissions[i + 1][None, :]
         )
     loss = log_z - expected
 
@@ -237,9 +235,6 @@ def kd_loss_global(table: ChainMarginals, lat: ChainLattice, student_temp: float
     d_start = marg.unary[0] - q_first
     d_stop = marg.unary[n - 1] - q_last
     g = LatticeGrad(d_em, d_tr, d_start, d_stop)
-    if student_temp != 1.0:
-        s = 1.0 / student_temp
-        g = LatticeGrad(g.emissions * s, g.transitions * s, g.start * s, g.stop * s)
     return float(loss), g
 
 

@@ -26,11 +26,9 @@ from .numerics import NEG_INF, log_softmax, softmax_last
 from .scorer import (
     FeatureHasher,
     FeatureVec,
+    HashedModel,
     SlotBlock,
-    SparseParams,
     build_slot_block,
-    decode_array,
-    encode_array,
     featurize_arc,
     featurize_token,
 )
@@ -156,29 +154,21 @@ class PreparedParse:
     sib_index: np.ndarray | None = None  # (sites, 3) rows (i, k, j)
 
 
-@dataclass
-class ParserGrads:
-    arc: SparseParams
-    rel: SparseParams
-    sib: SparseParams | None = None
-
-    def fill(self, v=0.0):
-        self.arc.fill(v)
-        self.rel.fill(v)
-        if self.sib is not None:
-            self.sib.fill(v)
-
-
-class FirstOrderParser:
+class FirstOrderParser(HashedModel):
     """Head-selection parser: per-token softmax over arcs and relations."""
 
     family = "dep-1st"
+    alphabet_key = "rels"
 
     def __init__(self, rels: LabelAlphabet, bits: int = 20):
         self.rels = rels
         self.hasher = FeatureHasher(bits)
-        self.arc_params = SparseParams.zeros(self.hasher, 1)
-        self.rel_params = SparseParams.zeros(self.hasher, len(rels))
+        self.params = {
+            "arc_weights": np.zeros(self.hasher.size),
+            "arc_bias": np.zeros(1),
+            "rel_weights": np.zeros(self.hasher.size),
+            "rel_bias": np.zeros(len(rels)),
+        }
 
     def _arc_fvecs(self, tokens):
         n = len(tokens)
@@ -197,11 +187,13 @@ class FirstOrderParser:
         return PreparedParse(n, arc_block, rel_block)
 
     def arc_logits(self, prep: PreparedParse, scale: float = 1.0) -> np.ndarray:
-        raw = prep.arc_block.scores(self.arc_params)[:, 0].reshape(prep.n, prep.n + 1)
+        p = self.params
+        raw = prep.arc_block.scores(p["arc_weights"], p["arc_bias"])[:, 0]
+        raw = raw.reshape(prep.n, prep.n + 1)
         return raw * scale + self_mask(prep.n)
 
     def rel_logits(self, prep: PreparedParse, scale: float = 1.0) -> np.ndarray:
-        return prep.rel_block.scores(self.rel_params) * scale
+        return prep.rel_block.scores(self.params["rel_weights"], self.params["rel_bias"]) * scale
 
     def distributions(self, prep: PreparedParse, scale: float = 1.0) -> ArcDistributions:
         return ArcDistributions(
@@ -209,16 +201,13 @@ class FirstOrderParser:
             softmax_last(self.rel_logits(prep, scale)),
         )
 
-    def new_grads(self) -> ParserGrads:
-        return ParserGrads(self.arc_params.zeros_like(), self.rel_params.zeros_like())
+    def scatter_arc_grad(self, prep: PreparedParse, d_arc: np.ndarray, out: dict, coef=1.0):
+        prep.arc_block.scatter(out["arc_weights"], out["arc_bias"], (coef * d_arc).reshape(-1, 1))
 
-    def scatter_arc_grad(self, prep: PreparedParse, d_arc: np.ndarray, out: ParserGrads, coef=1.0):
-        prep.arc_block.scatter(out.arc, (coef * d_arc).reshape(-1, 1))
+    def scatter_rel_grad(self, prep: PreparedParse, d_rel: np.ndarray, out: dict, coef=1.0):
+        prep.rel_block.scatter(out["rel_weights"], out["rel_bias"], coef * d_rel)
 
-    def scatter_rel_grad(self, prep: PreparedParse, d_rel: np.ndarray, out: ParserGrads, coef=1.0):
-        prep.rel_block.scatter(out.rel, coef * d_rel)
-
-    def nll_and_grad(self, prep: PreparedParse, gold: HeadAssignment, out: ParserGrads, coef=1.0):
+    def nll_and_grad(self, prep: PreparedParse, gold: HeadAssignment, out: dict, coef=1.0):
         """-log P(gold head) - log P(gold rel), summed over tokens."""
         arc_lp = log_softmax(self.arc_logits(prep))
         rel_lp = log_softmax(self.rel_logits(prep))
@@ -234,45 +223,8 @@ class FirstOrderParser:
         self.scatter_rel_grad(prep, d_rel, out, coef)
         return loss
 
-    def sgd_step(self, grads: ParserGrads, lr: float):
-        self.arc_params.add_scaled(grads.arc, -lr)
-        self.rel_params.add_scaled(grads.rel, -lr)
-
     def decode(self, prep: PreparedParse) -> HeadAssignment:
         return decode_heads(self.distributions(prep))
-
-    def snapshot(self):
-        return (self.arc_params.copy(), self.rel_params.copy())
-
-    def restore(self, snap):
-        self.arc_params, self.rel_params = snap[0].copy(), snap[1].copy()
-
-    def _payload_blocks(self):
-        return {
-            "arc_weights": encode_array(self.arc_params.weights),
-            "arc_bias": encode_array(self.arc_params.bias),
-            "rel_weights": encode_array(self.rel_params.weights),
-            "rel_bias": encode_array(self.rel_params.bias),
-        }
-
-    def to_payload(self):
-        return {
-            "family": self.family,
-            "hash_bits": self.hasher.bits,
-            "templates": "tmpl-v1",
-            "alphabets": {"rels": self.rels.to_dict()},
-            "blocks": self._payload_blocks(),
-        }
-
-    @classmethod
-    def from_payload(cls, p):
-        model = cls(LabelAlphabet.from_dict(p["alphabets"]["rels"]), bits=p["hash_bits"])
-        model._load_blocks(p["blocks"])
-        return model
-
-    def _load_blocks(self, b):
-        self.arc_params = SparseParams(decode_array(b["arc_weights"]), decode_array(b["arc_bias"]))
-        self.rel_params = SparseParams(decode_array(b["rel_weights"]), decode_array(b["rel_bias"]))
 
 
 class SecondOrderParser(FirstOrderParser):
@@ -280,10 +232,11 @@ class SecondOrderParser(FirstOrderParser):
     relations stay first-order."""
 
     family = "dep-2nd"
+    options = ("iterations",)
 
     def __init__(self, rels: LabelAlphabet, bits: int = 20, iterations: int = 3):
         super().__init__(rels, bits)
-        self.sib_params = SparseParams.zeros(self.hasher, 1)
+        self.params.update(sib_weights=np.zeros(self.hasher.size), sib_bias=np.zeros(1))
         self.iterations = iterations
 
     def prepare(self, tokens) -> PreparedParse:
@@ -308,7 +261,8 @@ class SecondOrderParser(FirstOrderParser):
         n = prep.n
         sib = np.zeros((n, n, n + 1))
         if prep.sib_block is not None:
-            vals = prep.sib_block.scores(self.sib_params)[:, 0] * scale
+            p = self.params
+            vals = prep.sib_block.scores(p["sib_weights"], p["sib_bias"])[:, 0] * scale
             i, k, j = prep.sib_index.T
             sib[i, k, j] = vals
             sib[k, i, j] = vals
@@ -324,14 +278,7 @@ class SecondOrderParser(FirstOrderParser):
             self.head_rows(prep, scale), softmax_last(self.rel_logits(prep, scale))
         )
 
-    def new_grads(self) -> ParserGrads:
-        return ParserGrads(
-            self.arc_params.zeros_like(),
-            self.rel_params.zeros_like(),
-            self.sib_params.zeros_like(),
-        )
-
-    def nll_and_grad(self, prep: PreparedParse, gold: HeadAssignment, out: ParserGrads, coef=1.0):
+    def nll_and_grad(self, prep: PreparedParse, gold: HeadAssignment, out: dict, coef=1.0):
         arc = self.arc_logits(prep)
         sib = self.sib_tensor(prep)
         qs = mfvi_trace(arc, sib, self.iterations)
@@ -350,42 +297,9 @@ class SecondOrderParser(FirstOrderParser):
         if prep.sib_block is not None:
             i, k, j = prep.sib_index.T
             per_factor = d_sib[i, k, j] + d_sib[k, i, j]
-            prep.sib_block.scatter(out.sib, (coef * per_factor).reshape(-1, 1))
+            coef_sib = (coef * per_factor).reshape(-1, 1)
+            prep.sib_block.scatter(out["sib_weights"], out["sib_bias"], coef_sib)
         d_rel = np.exp(rel_lp)
         d_rel[idx, rels] -= 1.0
         self.scatter_rel_grad(prep, d_rel, out, coef)
         return loss
-
-    def sgd_step(self, grads: ParserGrads, lr: float):
-        super().sgd_step(grads, lr)
-        self.sib_params.add_scaled(grads.sib, -lr)
-
-    def snapshot(self):
-        return (self.arc_params.copy(), self.rel_params.copy(), self.sib_params.copy())
-
-    def restore(self, snap):
-        self.arc_params, self.rel_params, self.sib_params = (
-            snap[0].copy(),
-            snap[1].copy(),
-            snap[2].copy(),
-        )
-
-    def to_payload(self):
-        p = super().to_payload()
-        p["iterations"] = self.iterations
-        p["blocks"]["sib_weights"] = encode_array(self.sib_params.weights)
-        p["blocks"]["sib_bias"] = encode_array(self.sib_params.bias)
-        return p
-
-    @classmethod
-    def from_payload(cls, p):
-        model = cls(
-            LabelAlphabet.from_dict(p["alphabets"]["rels"]),
-            bits=p["hash_bits"],
-            iterations=p.get("iterations", 3),
-        )
-        model._load_blocks(p["blocks"])
-        model.sib_params = SparseParams(
-            decode_array(p["blocks"]["sib_weights"]), decode_array(p["blocks"]["sib_bias"])
-        )
-        return model

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import LabelAlphabet
+
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -145,46 +147,23 @@ def featurize_span(hasher: FeatureHasher, tokens, start, end) -> FeatureVec:
     return hasher.vec(feats)
 
 
-@dataclass
-class SparseParams:
-    """Flat hashed weight vector plus one bias per output label."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    @classmethod
-    def zeros(cls, hasher: FeatureHasher, n_labels: int):
-        return cls(np.zeros(hasher.size), np.zeros(n_labels))
-
-    def zeros_like(self):
-        return SparseParams(np.zeros_like(self.weights), np.zeros_like(self.bias))
-
-    def copy(self):
-        return SparseParams(self.weights.copy(), self.bias.copy())
-
-    def add_scaled(self, other: "SparseParams", scale: float):
-        self.weights += scale * other.weights
-        self.bias += scale * other.bias
-
-    def fill(self, value: float):
-        self.weights.fill(value)
-        self.bias.fill(value)
-
-
-def score(params: SparseParams, hasher: FeatureHasher, f: FeatureVec, label: int) -> float:
-    if not 0 <= label < len(params.bias):
-        raise ValueError(f"label id {label} outside 0..{len(params.bias) - 1}")
+def score(params, hasher: FeatureHasher, f: FeatureVec, label: int) -> float:
+    """Score of (f, label) under a mapping with "weights" and "bias" arrays."""
+    weights, bias = params["weights"], params["bias"]
+    if not 0 <= label < len(bias):
+        raise ValueError(f"label id {label} outside 0..{len(bias) - 1}")
     salt = _splitmix64(_LABEL_SEED ^ (label + 1)) & hasher.mask
-    return float(params.weights[f.ids ^ salt] @ f.values + params.bias[label])
+    return float(weights[f.ids ^ salt] @ f.values + bias[label])
 
 
 def accumulate_grad(
-    grad: SparseParams, hasher: FeatureHasher, f: FeatureVec, label: int, coefficient: float
+    grad, hasher: FeatureHasher, f: FeatureVec, label: int, coefficient: float
 ):
-    """grad[slot] += coefficient * value for every feature slot of (f, label)."""
+    """grad[slot] += coefficient * value for every feature slot of (f, label),
+    into a mapping with "weights" and "bias" arrays."""
     salt = _splitmix64(_LABEL_SEED ^ (label + 1)) & hasher.mask
-    np.add.at(grad.weights, f.ids ^ salt, coefficient * f.values)
-    grad.bias[label] += coefficient
+    np.add.at(grad["weights"], f.ids ^ salt, coefficient * f.values)
+    grad["bias"][label] += coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +182,17 @@ class SlotBlock:
     slots: np.ndarray
     vals: np.ndarray
 
-    def scores(self, params: SparseParams) -> np.ndarray:
-        w = params.weights[self.slots]
-        return np.einsum("slf,sf->sl", w, self.vals) + params.bias
+    def scores(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        w = weights[self.slots]
+        return np.einsum("slf,sf->sl", w, self.vals) + bias
 
-    def scatter(self, grad: SparseParams, coef: np.ndarray):
-        """Accumulate d(loss)/d(score) given per (site, label) into grad."""
-        np.add.at(grad.weights, self.slots, coef[:, :, None] * self.vals[:, None, :])
-        grad.bias += coef.sum(axis=0)
+    def scatter(self, weights: np.ndarray, bias: np.ndarray, coef: np.ndarray):
+        """Accumulate d(loss)/d(score) given per (site, label) into the
+        gradient arrays.  The slots go to np.add.at as one flat index, which
+        numpy handles several times faster than a 3-D one, in the same order."""
+        values = coef[:, :, None] * self.vals[:, None, :]
+        np.add.at(weights, self.slots.reshape(-1), values.reshape(-1))
+        bias += coef.sum(axis=0)
 
 
 def _pad_features(fvecs, width: int):
@@ -262,32 +244,33 @@ class StackedBlock:
         slots = self.ids[a:b, None, :width] ^ self.salts[None, :, None]
         return SlotBlock(slots, self.vals[a:b, :width].copy())
 
-    def scores(self, params: SparseParams, rows) -> np.ndarray:
+    def scores(self, weights: np.ndarray, bias: np.ndarray, rows) -> np.ndarray:
         widths = self.widths[rows]
         groups = set(widths.tolist())
         if len(groups) == 1:
-            return self._raw_scores(params, rows, groups.pop()) + params.bias
+            return self._raw_scores(weights, rows, groups.pop()) + bias
         out = np.empty((len(rows), len(self.salts)))
         for width in groups:
             sel = widths == width
-            out[sel] = self._raw_scores(params, rows[sel], width)
-        return out + params.bias
+            out[sel] = self._raw_scores(weights, rows[sel], width)
+        return out + bias
 
-    def _raw_scores(self, params, rows, width):
+    def _raw_scores(self, weights, rows, width):
         ids = self.ids[rows, :width]
-        w = params.weights[ids[:, None, :] ^ self.salts[None, :, None]]
+        w = weights[ids[:, None, :] ^ self.salts[None, :, None]]
         return np.einsum("slf,sf->sl", w, self.vals[rows, :width])
 
-    def scatter(self, grad: SparseParams, coef: np.ndarray, rows, runs):
-        """Accumulate d(loss)/d(score) per (row, label) into grad as the
-        rows' sentences (`runs` of rows, in order) would one after another
-        through SlotBlock.scatter: the weights in one sequential pass
-        (padded features add zeros), the bias one sentence sum at a time."""
+    def scatter(self, weights: np.ndarray, bias: np.ndarray, coef: np.ndarray, rows, runs):
+        """Accumulate d(loss)/d(score) per (row, label) into the gradient
+        arrays as the rows' sentences (`runs` of rows, in order) would one
+        after another through SlotBlock.scatter: the weights in one
+        sequential pass (padded features add zeros), the bias one sentence
+        sum at a time."""
         slots = self.ids[rows][:, None, :] ^ self.salts[None, :, None]
         values = coef[:, :, None] * self.vals[rows][:, None, :]
-        np.add.at(grad.weights, slots.reshape(-1), values.reshape(-1))
+        np.add.at(weights, slots.reshape(-1), values.reshape(-1))
         # numpy sums over a leading axis row after row, as `+=` per sentence
-        grad.bias[:] = np.vstack([grad.bias, runs.sums(coef)]).sum(axis=0)
+        bias[:] = np.vstack([bias, runs.sums(coef)]).sum(axis=0)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -320,7 +303,7 @@ def stack_slot_blocks(blocks, salts: np.ndarray) -> StackedBlock:
 
 
 # ---------------------------------------------------------------------------
-# Model serialization: one JSON document per model
+# Parameters and model files
 
 
 TEMPLATE_VERSION = "tmpl-v1"
@@ -333,3 +316,73 @@ def encode_array(a: np.ndarray) -> str:
 def decode_array(s: str, shape=None) -> np.ndarray:
     a = np.frombuffer(base64.b64decode(s.encode("ascii")), dtype="<f8").copy()
     return a.reshape(shape) if shape is not None else a
+
+
+class HashedModel:
+    """Base of every model family: its parameters and its model file.
+
+    `params` is an ordered dict of float64 arrays named as the blocks of the
+    model file; a family's __init__ is the one place that says which blocks
+    it has and what shapes they take.  Gradients are dicts with the same
+    keys, a checkpoint is a copy of the arrays, and a model file holds one
+    base64 block per array plus a header: the hash width, the alphabet in
+    the attribute named `alphabet_key`, and the constructor arguments named
+    in `options`.
+    """
+
+    family: str
+    alphabet_key: str
+    options: tuple = ()
+
+    def new_grads(self) -> dict:
+        return {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def sgd_step(self, grads: dict, lr: float):
+        for k, p in self.params.items():
+            p -= lr * grads[k]
+
+    def snapshot(self) -> dict:
+        return {k: v.copy() for k, v in self.params.items()}
+
+    def restore(self, snap: dict):
+        for k, p in self.params.items():
+            p[...] = snap[k]
+
+    def to_payload(self) -> dict:
+        payload = {
+            "family": self.family,
+            "hash_bits": self.hasher.bits,
+            "templates": TEMPLATE_VERSION,
+            "alphabets": {self.alphabet_key: getattr(self, self.alphabet_key).to_dict()},
+            "blocks": {k: encode_array(v) for k, v in self.params.items()},
+        }
+        payload.update((k, getattr(self, k)) for k in self.options)
+        return payload
+
+    @classmethod
+    def from_payload(cls, p):
+        """The model a payload describes.  Its template version and the
+        length of every block are checked against the zero model built from
+        its header before any block is decoded."""
+        if p.get("templates") != TEMPLATE_VERSION:
+            raise ValueError(
+                f"feature templates {p.get('templates')!r}, expected {TEMPLATE_VERSION!r}"
+            )
+        alphabet = LabelAlphabet.from_dict(p["alphabets"][cls.alphabet_key])
+        model = cls(alphabet, bits=p["hash_bits"], **{k: p[k] for k in cls.options if k in p})
+        blocks = p["blocks"]
+        for name, zero in model.params.items():
+            if name not in blocks:
+                raise ValueError(f"block {name!r} is missing")
+            encoded = blocks[name]
+            got = (len(encoded) * 3 // 4 - encoded[-2:].count("=")) / 8
+            if got != zero.size:
+                basis = f"{len(alphabet)} labels"
+                if name.endswith("weights"):
+                    basis = f"2^{model.hasher.bits} hash slots"
+                raise ValueError(
+                    f"block {name!r} has {got:g} entries, expected {zero.size} ({basis})"
+                )
+        for name, zero in model.params.items():
+            model.params[name] = decode_array(blocks[name], zero.shape)
+        return model

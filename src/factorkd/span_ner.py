@@ -26,10 +26,8 @@ from .corpus import BioesCodec, LabelAlphabet, SpanSet
 from .numerics import NEG_INF, log_sum_exp, logsumexp_last
 from .scorer import (
     FeatureHasher,
-    SparseParams,
+    HashedModel,
     build_slot_block,
-    decode_array,
-    encode_array,
     featurize_span,
 )
 
@@ -196,16 +194,17 @@ def sample_span_set(t: SpanScoreTable, rng) -> frozenset:
 # Hashed linear span scorer
 
 
-class SpanNerModel:
+class SpanNerModel(HashedModel):
     """Span-set NER teacher with hashed span features and per-type biases."""
 
     family = "ner-span"
+    alphabet_key = "types"
 
     def __init__(self, types: LabelAlphabet, bits: int = 20):
         self.types = types
         self.codec = BioesCodec(types)
         self.hasher = FeatureHasher(bits)
-        self.params = SparseParams.zeros(self.hasher, len(types))
+        self.params = {"weights": np.zeros(self.hasher.size), "bias": np.zeros(len(types))}
 
     def span_sites(self, n):
         return [(i, j) for i in range(n) for j in range(i, n)]
@@ -219,22 +218,19 @@ class SpanNerModel:
     def score_table(self, prep, scale: float = 1.0) -> SpanScoreTable:
         n, block = prep
         T = len(self.types)
-        flat = block.scores(self.params) * scale
+        flat = block.scores(self.params["weights"], self.params["bias"]) * scale
         table = np.full((n, n, T), NEG_INF)
         for site, (i, j) in enumerate(self.span_sites(n)):
             table[i, j, :] = flat[site]
         return SpanScoreTable(table)
 
-    def new_grads(self) -> SparseParams:
-        return self.params.zeros_like()
-
-    def scatter_table_grad(self, prep, d_table: np.ndarray, out: SparseParams, coef=1.0):
+    def scatter_table_grad(self, prep, d_table: np.ndarray, out: dict, coef=1.0):
         n, block = prep
         sites = self.span_sites(n)
         d_flat = np.stack([d_table[i, j, :] for i, j in sites])
-        block.scatter(out, coef * d_flat)
+        block.scatter(out["weights"], out["bias"], coef * d_flat)
 
-    def nll_and_grad(self, prep, gold: SpanSet, out: SparseParams, coef=1.0):
+    def nll_and_grad(self, prep, gold: SpanSet, out: dict, coef=1.0):
         """log Z minus the gold structure's score; gradient per span score
         is its marginal minus the gold indicator."""
         table = self.score_table(prep)
@@ -247,34 +243,5 @@ class SpanNerModel:
         self.scatter_table_grad(prep, d, out, coef)
         return float(log_z - gold_score)
 
-    def sgd_step(self, grads: SparseParams, lr: float):
-        self.params.add_scaled(grads, -lr)
-
     def decode(self, prep) -> SpanSet:
         return decode_spans(self.score_table(prep))
-
-    def snapshot(self):
-        return self.params.copy()
-
-    def restore(self, snap):
-        self.params = snap.copy()
-
-    def to_payload(self):
-        return {
-            "family": self.family,
-            "hash_bits": self.hasher.bits,
-            "templates": "tmpl-v1",
-            "alphabets": {"types": self.types.to_dict()},
-            "blocks": {
-                "weights": encode_array(self.params.weights),
-                "bias": encode_array(self.params.bias),
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, p):
-        model = cls(LabelAlphabet.from_dict(p["alphabets"]["types"]), bits=p["hash_bits"])
-        model.params = SparseParams(
-            decode_array(p["blocks"]["weights"]), decode_array(p["blocks"]["bias"])
-        )
-        return model

@@ -16,12 +16,10 @@ from .corpus import LabelAlphabet, TagSequence
 from .numerics import log_softmax
 from .scorer import (
     FeatureHasher,
+    HashedModel,
     SlotBlock,
-    SparseParams,
     StackedBlock,
     build_slot_block,
-    decode_array,
-    encode_array,
     featurize_token,
     stack_features,
     stack_slot_blocks,
@@ -46,13 +44,14 @@ class TokenDistributions:
         return self.rows.shape[1]
 
 
-class MaxEntTagger:
+class MaxEntTagger(HashedModel):
     family = "ner-maxent"
+    alphabet_key = "tags"
 
     def __init__(self, tags: LabelAlphabet, bits: int = 20):
         self.tags = tags
         self.hasher = FeatureHasher(bits)
-        self.params = SparseParams.zeros(self.hasher, len(tags))
+        self.params = {"weights": np.zeros(self.hasher.size), "bias": np.zeros(len(tags))}
 
     def prepare(self, tokens) -> SlotBlock:
         fvecs = [featurize_token(self.hasher, tokens, i) for i in range(len(tokens))]
@@ -71,12 +70,12 @@ class MaxEntTagger:
         return stack_slot_blocks(blocks, self.hasher.label_salts(len(self.tags)))
 
     def logits(self, prep: SlotBlock, scale: float = 1.0) -> np.ndarray:
-        return prep.scores(self.params) * scale
+        return prep.scores(self.params["weights"], self.params["bias"]) * scale
 
     def token_distributions(self, prep: SlotBlock, scale: float = 1.0) -> TokenDistributions:
         return TokenDistributions(np.exp(log_softmax(self.logits(prep, scale))))
 
-    def nll_and_grad(self, prep: SlotBlock, gold: TagSequence, out: SparseParams, coef=1.0):
+    def nll_and_grad(self, prep: SlotBlock, gold: TagSequence, out: dict, coef=1.0):
         """Sum of per-position cross-entropies against the gold one-hots;
         accumulates coef * gradient into out and returns the loss."""
         tags = tuple(gold)
@@ -87,14 +86,8 @@ class MaxEntTagger:
         loss = -float(logp[idx, tags].sum())
         d = np.exp(logp)
         d[idx, tags] -= 1.0
-        prep.scatter(out, coef * d)
+        prep.scatter(out["weights"], out["bias"], coef * d)
         return loss
-
-    def new_grads(self) -> SparseParams:
-        return self.params.zeros_like()
-
-    def sgd_step(self, grads: SparseParams, lr: float):
-        self.params.add_scaled(grads, -lr)
 
     def decode(self, prep: SlotBlock) -> TagSequence:
         return TagSequence(tuple(int(t) for t in np.argmax(self.logits(prep), axis=1)))
@@ -106,34 +99,9 @@ class MaxEntTagger:
         tags = []
         for a in range(0, n_rows, DECODE_CHUNK):
             rows = np.arange(a, min(a + DECODE_CHUNK, n_rows))
-            tags.extend(np.argmax(corpus.scores(self.params, rows), axis=1).tolist())
+            scores = corpus.scores(self.params["weights"], self.params["bias"], rows)
+            tags.extend(np.argmax(scores, axis=1).tolist())
         return [TagSequence(tags[a:b]) for a, b in zip(corpus.offsets, corpus.offsets[1:])]
-
-    def snapshot(self):
-        return self.params.copy()
-
-    def restore(self, snap):
-        self.params = snap.copy()
-
-    def to_payload(self):
-        return {
-            "family": self.family,
-            "hash_bits": self.hasher.bits,
-            "templates": "tmpl-v1",
-            "alphabets": {"tags": self.tags.to_dict()},
-            "blocks": {
-                "weights": encode_array(self.params.weights),
-                "bias": encode_array(self.params.bias),
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, p):
-        model = cls(LabelAlphabet.from_dict(p["alphabets"]["tags"]), bits=p["hash_bits"])
-        model.params = SparseParams(
-            decode_array(p["blocks"]["weights"]), decode_array(p["blocks"]["bias"])
-        )
-        return model
 
 
 def pair_marginals_from_tokens(d: TokenDistributions) -> ChainMarginals:

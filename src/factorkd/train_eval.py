@@ -118,7 +118,6 @@ class DistillConfig:
     temperature: float = 1.0
     temp_mode: str = "local"
     anneal_rate: float = 1.0
-    student_temp: float = 1.0
 
     def temp(self) -> TemperatureConfig:
         return TemperatureConfig(self.temperature, self.temp_mode)
@@ -189,7 +188,7 @@ def _step_maxent(model, prep, gold, table, lam, grads, coef):
         q = table.rows
         loss -= lam * masked_inner(q, logp)
         d += lam * (p - q)
-    prep.scatter(grads, coef * d)
+    prep.scatter(grads["weights"], grads["bias"], coef * d)
     return loss
 
 
@@ -201,7 +200,7 @@ def _step_maxent_batch(model, corpus, sentences, tags, q, lam, grads, coef):
     per-sentence step's, and leaves the same gradient in `grads`."""
     rows = corpus.rows(sentences)
     runs = Runs(corpus.offsets[sentences + 1] - corpus.offsets[sentences])
-    logp = log_softmax(corpus.scores(model.params, rows))
+    logp = log_softmax(corpus.scores(model.params["weights"], model.params["bias"], rows))
     p = np.exp(logp)
     idx = np.arange(len(rows))
     gold = tags[rows]
@@ -213,7 +212,7 @@ def _step_maxent_batch(model, corpus, sentences, tags, q, lam, grads, coef):
         qb = q[rows]
         loss -= lam * runs.sums(masked_product(qb, logp), flat=True)
         d += lam * (p - qb)
-    corpus.scatter(grads, coef * d, rows, runs)
+    corpus.scatter(grads["weights"], grads["bias"], coef * d, rows, runs)
     return loss
 
 
@@ -279,46 +278,12 @@ def _step_parser(model, prep, gold, table, lam, grads, coef):
     return loss
 
 
-def _step_split(model, prep, gold, table, lam, grads, coef, student_temp):
-    """KD and target parts composed from the standalone losses; only used
-    when the (default-off) student-side temperature divisor is active."""
-    from .distill import kd_loss_global, kd_loss_local
-
-    if isinstance(model, MaxEntTagger):
-        kd, d = kd_loss_local(table, model.logits(prep), student_temp)
-        prep.scatter(grads, coef * lam * d)
-        nll = model.nll_and_grad(prep, gold, grads, coef * (1.0 - lam))
-        return lam * kd + (1.0 - lam) * nll
-    if isinstance(model, ChainCrfTagger):
-        lat = model.lattice(prep)
-        kd, g = kd_loss_global(table, lat, student_temp)
-        model.scatter_lattice_grad(prep, g, grads, coef * lam)
-        nll, g2 = chain_crf.nll_and_grad(lat, gold)
-        model.scatter_lattice_grad(prep, g2, grads, coef * (1.0 - lam))
-        return lam * kd + (1.0 - lam) * nll
-    if isinstance(model, FirstOrderParser) and not isinstance(model, SecondOrderParser):
-        kd, (d_arc, d_rel) = kd_loss_local(
-            table, (model.arc_logits(prep), model.rel_logits(prep)), student_temp
-        )
-        model.scatter_arc_grad(prep, d_arc, grads, coef * lam)
-        model.scatter_rel_grad(prep, d_rel, grads, coef * lam)
-        nll = model.nll_and_grad(prep, gold, grads, coef * (1.0 - lam))
-        return lam * kd + (1.0 - lam) * nll
-    raise TypeError(f"{type(model).__name__} is not a KD student family")
-
-
-def _split_step(lam, student_temp):
-    return student_temp != 1.0 and lam > 0.0
-
-
-def sentence_step(model, prep, gold, table, lam, grads, coef, student_temp=1.0, chain=None):
+def sentence_step(model, prep, gold, table, lam, grads, coef, chain=None):
     """One sentence's loss, its gradient scattered into `grads` at `coef`.
 
     For a CRF, `chain` may carry the sentence's (lattice, marginals, log Z)
     from a batched forward-backward; without it the step computes them.
     """
-    if _split_step(lam, student_temp):
-        return _step_split(model, prep, gold, table, lam, grads, coef, student_temp)
     if isinstance(model, MaxEntTagger):
         return _step_maxent(model, prep, gold, table, lam, grads, coef)
     if isinstance(model, ChainCrfTagger):
@@ -489,7 +454,6 @@ def train(
                 "temperature": distill_cfg.temperature,
                 "temp_mode": distill_cfg.temp_mode,
                 "anneal_rate": distill_cfg.anneal_rate,
-                "student_temp": distill_cfg.student_temp,
             },
         },
         seed=cfg.seed,
@@ -504,7 +468,6 @@ def train(
     grads = model.new_grads()
     order = np.arange(n)
     step = 0
-    student_temp = distill_cfg.student_temp if distill_cfg else 1.0
     is_crf = isinstance(model, ChainCrfTagger)
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
@@ -512,10 +475,10 @@ def train(
         for b in range(batches_per_epoch):
             batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lam = lambda_schedule(step, anneal) if anneal is not None else 0.0
-            grads.fill(0.0)
+            for g in grads.values():
+                g.fill(0.0)
             coef = 1.0 / len(batch)
-            split = _split_step(lam, student_temp)
-            if maxent and not split:
+            if maxent:
                 losses = _step_maxent_batch(
                     model, prepared, batch, site_tags, site_q, lam, grads, coef
                 )
@@ -523,16 +486,16 @@ def train(
                     epoch_loss += loss
             else:
                 chains = [None] * len(batch)
-                if is_crf and not split:
+                if is_crf:
                     lats = [model.lattice(prepared[i]) for i in batch]
                     log_z, margs = chain_crf.forward_backward(lats)
                     chains = list(zip(lats, margs, log_z))
                 for i, chain in zip(batch, chains):
                     table = teacher_tables[i] if teacher_tables is not None else None
-                    prep = prepared.block(i) if maxent else prepared[i]
+                    prep = prepared[i]
                     epoch_loss += sentence_step(
                         model, prep, train_records[i].gold, table, lam, grads, coef,
-                        student_temp=student_temp, chain=chain,
+                        chain=chain,
                     )
             model.sgd_step(grads, cfg.lr)
             step += 1

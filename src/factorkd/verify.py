@@ -25,8 +25,9 @@ from .head_parser import (
     mfvi_second_order,
     self_mask,
 )
+from .models import new_model
 from .numerics import softmax_last
-from .span_ner import SpanNerModel, SpanScoreTable
+from .span_ner import SpanScoreTable
 from .token_maxent import MaxEntTagger, TokenDistributions, pair_marginals_from_tokens
 from .train_eval import sentence_step
 
@@ -71,41 +72,24 @@ def rand_span_table(rng, n, T, scale=1.5) -> SpanScoreTable:
     return SpanScoreTable(scores)
 
 
-def _randomize(params, rng, scale=0.5):
-    params.weights[:] = rng.normal(0.0, scale, params.weights.shape)
-    params.bias[:] = rng.normal(0.0, scale, params.bias.shape)
+# normal-draw scale per parameter block; every other block draws at 0.5
+_SCALES = {"trans": 0.8, "start": 0.8, "stop": 0.8, "sib_weights": 0.3, "sib_bias": 0.3}
+
+
+def _randomize(model, rng):
+    for name, a in model.params.items():
+        a[:] = rng.normal(0.0, _SCALES.get(name, 0.5), a.shape)
+    return model
 
 
 def rand_model(family, rng, n_labels=3, bits=12):
-    alpha = LabelAlphabet("labels", [f"L{i}" for i in range(n_labels)]).freeze()
-    if family == "ner-crf":
-        m = ChainCrfTagger(alpha, bits=bits)
-        _randomize(m.params, rng)
-        m.trans = rng.normal(0.0, 0.8, m.trans.shape)
-        m.start = rng.normal(0.0, 0.8, m.start.shape)
-        m.stop = rng.normal(0.0, 0.8, m.stop.shape)
-        return m
-    if family == "ner-maxent":
-        m = MaxEntTagger(alpha, bits=bits)
-        _randomize(m.params, rng)
-        return m
-    if family == "dep-1st":
-        m = FirstOrderParser(alpha, bits=bits)
-        _randomize(m.arc_params, rng)
-        _randomize(m.rel_params, rng)
-        return m
-    if family == "dep-2nd":
-        m = SecondOrderParser(alpha, bits=bits, iterations=3)
-        _randomize(m.arc_params, rng)
-        _randomize(m.rel_params, rng)
-        _randomize(m.sib_params, rng, 0.3)
-        return m
+    """A model of the family with every parameter block filled by normal
+    draws, block after block."""
     if family == "ner-span":
-        types = LabelAlphabet("entity-types", [f"T{i}" for i in range(n_labels)]).freeze()
-        m = SpanNerModel(types, bits=bits)
-        _randomize(m.params, rng)
-        return m
-    raise ValueError(family)
+        alpha = LabelAlphabet("entity-types", [f"T{i}" for i in range(n_labels)])
+    else:
+        alpha = LabelAlphabet("labels", [f"L{i}" for i in range(n_labels)])
+    return _randomize(new_model(family, alpha.freeze(), bits=bits), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +477,18 @@ def gibbs_check(seed=0, trials=50):
 
 def finite_diff(build_loss, params, rng, n_weights=50, eps=1e-5, tol=GRAD_TOL):
     """Worst relative error between analytic gradients and central
-    differences over `n_weights` parameters with nonzero gradient."""
+    differences over `n_weights` parameters with nonzero gradient, plus the
+    first such parameter of every array, so that no array goes unchecked."""
     _, grads = build_loss()
-    candidates = []
+    candidates, firsts = [], []
     for a, g in zip(params, grads):
         flat = np.flatnonzero(np.abs(g.ravel()) > 1e-12)
+        if flat.size:
+            firsts.append(len(candidates))
         candidates.extend((a, g, int(i)) for i in flat)
     if len(candidates) > n_weights:
         picks = rng.choice(len(candidates), size=n_weights, replace=False)
-        candidates = [candidates[int(i)] for i in picks]
+        candidates = [candidates[i] for i in sorted(set(picks.tolist()) | set(firsts))]
     worst = 0.0
     for arr, g, idx in candidates:
         orig = arr.ravel()[idx]
@@ -514,35 +501,6 @@ def finite_diff(build_loss, params, rng, n_weights=50, eps=1e-5, tol=GRAD_TOL):
         an = g.ravel()[idx]
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-10))
     return worst
-
-
-def _param_arrays(model):
-    if isinstance(model, ChainCrfTagger):
-        return [model.params.weights, model.params.bias, model.trans, model.start, model.stop]
-    if isinstance(model, (MaxEntTagger, SpanNerModel)):
-        return [model.params.weights, model.params.bias]
-    if isinstance(model, SecondOrderParser):
-        return [
-            model.arc_params.weights,
-            model.rel_params.weights,
-            model.rel_params.bias,
-            model.sib_params.weights,
-        ]
-    if isinstance(model, FirstOrderParser):
-        return [model.arc_params.weights, model.rel_params.weights, model.rel_params.bias]
-    raise TypeError(type(model).__name__)
-
-
-def _grad_arrays(model, grads):
-    if isinstance(model, ChainCrfTagger):
-        return [grads.params.weights, grads.params.bias, grads.trans, grads.start, grads.stop]
-    if isinstance(model, (MaxEntTagger, SpanNerModel)):
-        return [grads.weights, grads.bias]
-    if isinstance(model, SecondOrderParser):
-        return [grads.arc.weights, grads.rel.weights, grads.rel.bias, grads.sib.weights]
-    if isinstance(model, FirstOrderParser):
-        return [grads.arc.weights, grads.rel.weights, grads.rel.bias]
-    raise TypeError(type(model).__name__)
 
 
 def _rand_gold(model, n, rng):
@@ -577,7 +535,7 @@ def pipeline_fd(case, rng, lam=0.7, n_weights=50):
     if case == "4":
         # the BIOES student's label space must match the span teacher's
         student = MaxEntTagger(teacher.codec.tags, bits=12)
-        _randomize(student.params, rng)
+        _randomize(student, rng)
     table = teacher_marginal_table(case, teacher, tokens, TemperatureConfig(2.0, "local"))
     prep = student.prepare(tokens)
     gold = _rand_gold(student, n, rng)
@@ -585,9 +543,9 @@ def pipeline_fd(case, rng, lam=0.7, n_weights=50):
     def build_loss():
         grads = student.new_grads()
         loss = sentence_step(student, prep, gold, table, lam, grads, 1.0)
-        return loss, _grad_arrays(student, grads)
+        return loss, grads.values()
 
-    return finite_diff(build_loss, _param_arrays(student), rng, n_weights=n_weights)
+    return finite_diff(build_loss, student.params.values(), rng, n_weights=n_weights)
 
 
 def suite_grad(seed=0, n_weights=50):
@@ -642,12 +600,12 @@ def suite_grad(seed=0, n_weights=50):
     def maxent_loss():
         g = m.new_grads()
         loss = m.nll_and_grad(prep, mgold, g)
-        return loss, [g.weights, g.bias]
+        return loss, g.values()
 
     checks.append(
         _check(
             "maxent NLL feature gradient",
-            finite_diff(maxent_loss, [m.params.weights, m.params.bias], rng, n_weights),
+            finite_diff(maxent_loss, m.params.values(), rng, n_weights),
             GRAD_TOL,
         )
     )
@@ -661,12 +619,12 @@ def suite_grad(seed=0, n_weights=50):
     def span_loss():
         g = sp.new_grads()
         loss = sp.nll_and_grad(sprep, sgold, g)
-        return loss, [g.weights, g.bias]
+        return loss, g.values()
 
     checks.append(
         _check(
             "span NER NLL feature gradient",
-            finite_diff(span_loss, [sp.params.weights, sp.params.bias], rng, n_weights),
+            finite_diff(span_loss, sp.params.values(), rng, n_weights),
             GRAD_TOL,
         )
     )
@@ -679,12 +637,12 @@ def suite_grad(seed=0, n_weights=50):
     def second_loss():
         g = p2.new_grads()
         loss = p2.nll_and_grad(pprep, pgold, g)
-        return loss, _grad_arrays(p2, g)
+        return loss, g.values()
 
     checks.append(
         _check(
             "second-order parser NLL gradient (through mean field)",
-            finite_diff(second_loss, _param_arrays(p2), rng, n_weights),
+            finite_diff(second_loss, p2.params.values(), rng, n_weights),
             GRAD_TOL,
         )
     )

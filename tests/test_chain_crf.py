@@ -251,8 +251,8 @@ def test_masked_tagger_only_produces_valid_sequences():
     codec = BioesCodec(LabelAlphabet("entity-types", ["PER", "LOC"]).freeze())
     model = ChainCrfTagger(codec.tags, bits=10, constrain_bioes=True)
     rng = np.random.default_rng(6)
-    model.params.weights[:] = rng.normal(size=model.params.weights.shape)
-    model.trans = rng.normal(size=model.trans.shape)
+    model.params["weights"][:] = rng.normal(size=model.params["weights"].shape)
+    model.params["trans"] = rng.normal(size=model.params["trans"].shape)
     for k in range(20):
         tokens = [f"t{k}{i}" for i in range(5)]
         tags = model.decode(model.prepare(tokens))
@@ -264,8 +264,8 @@ def test_tagger_serialization_round_trip():
     alpha = LabelAlphabet("ner-tags", ["O", "B-X", "E-X"]).freeze()
     model = ChainCrfTagger(alpha, bits=10)
     rng = np.random.default_rng(7)
-    model.params.weights[:] = rng.normal(size=model.params.weights.shape)
-    model.trans = rng.normal(size=model.trans.shape)
+    model.params["weights"][:] = rng.normal(size=model.params["weights"].shape)
+    model.params["trans"] = rng.normal(size=model.params["trans"].shape)
     clone = ChainCrfTagger.from_payload(model.to_payload())
     tokens = ["a", "bb", "ccc"]
     np.testing.assert_allclose(

@@ -106,23 +106,6 @@ def test_kd_global_shape_mismatch():
         kd_loss_global(table, lat)
 
 
-def test_student_temperature_flag():
-    """Optional student-side division: loss equals the cross-entropy of the
-    temperature-scaled student (checked by enumeration)."""
-    rng = np.random.default_rng(6)
-    t_lat = rand_lattice(rng, 3, 2)
-    s_lat = rand_lattice(rng, 3, 2)
-    table = chain_crf.pairwise_marginals(t_lat)
-    loss, _ = kd_loss_global(table, s_lat, student_temp=2.0)
-    e = oracle.enumerate_chain(t_lat)
-    scaled = s_lat.scaled(0.5)
-    ce = oracle.cross_entropy(e, oracle.chain_log_probs(e, scaled))
-    assert loss == pytest.approx(ce, abs=1e-9)
-    # default is off: plain call must differ from the scaled one generically
-    plain, _ = kd_loss_global(table, s_lat)
-    assert abs(plain - loss) > 1e-6
-
-
 # ---------------------------------------------------------------------------
 # Temperature semantics
 
@@ -238,10 +221,11 @@ def test_case_table_types_and_mismatch():
 def test_case1a_zero_score_teacher_gives_uniform_table():
     rng = np.random.default_rng(17)
     teacher = rand_model("ner-crf", rng, n_labels=3, bits=10)
-    teacher.params.fill(0.0)
-    teacher.trans[:] = 0.0
-    teacher.start[:] = 0.0
-    teacher.stop[:] = 0.0
+    teacher.params["weights"].fill(0.0)
+    teacher.params["bias"].fill(0.0)
+    teacher.params["trans"][:] = 0.0
+    teacher.params["start"][:] = 0.0
+    teacher.params["stop"][:] = 0.0
     table = teacher_marginal_table(
         "1a", teacher, rand_tokens(rng, 4), TemperatureConfig(1.0, "local")
     )
@@ -259,8 +243,8 @@ def test_case3_one_hot_rows_give_one_hot_pairs():
 def test_case4_uniform_table_matches_hand_enumeration():
     rng = np.random.default_rng(9)
     teacher = rand_model("ner-span", rng, n_labels=1, bits=10)
-    teacher.params.weights[:] = 0.0
-    teacher.params.bias[:] = 0.0
+    teacher.params["weights"][:] = 0.0
+    teacher.params["bias"][:] = 0.0
     rows = teacher_marginal_table(
         "4", teacher, ["a", "b"], TemperatureConfig(1.0, "local")
     ).rows

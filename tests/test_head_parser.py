@@ -26,11 +26,11 @@ def _rels(R=2):
 def _random_parser(cls=FirstOrderParser, seed=0, R=2, **kw):
     m = cls(_rels(R), bits=10, **kw)
     rng = np.random.default_rng(seed)
-    m.arc_params.weights[:] = rng.normal(size=m.arc_params.weights.shape)
-    m.rel_params.weights[:] = rng.normal(size=m.rel_params.weights.shape)
-    m.rel_params.bias[:] = rng.normal(size=m.rel_params.bias.shape)
+    m.params["arc_weights"][:] = rng.normal(size=m.params["arc_weights"].shape)
+    m.params["rel_weights"][:] = rng.normal(size=m.params["rel_weights"].shape)
+    m.params["rel_bias"][:] = rng.normal(size=m.params["rel_bias"].shape)
     if isinstance(m, SecondOrderParser):
-        m.sib_params.weights[:] = 0.4 * rng.normal(size=m.sib_params.weights.shape)
+        m.params["sib_weights"][:] = 0.4 * rng.normal(size=m.params["sib_weights"].shape)
     return m
 
 
@@ -207,9 +207,9 @@ def test_second_order_nll_gradient_fd():
 def _fd_check(m, prep, gold, grads, seed, arrays="first"):
     rng = np.random.default_rng(seed)
     eps = 1e-5
-    pairs = [(m.arc_params.weights, grads.arc.weights), (m.rel_params.weights, grads.rel.weights)]
+    pairs = [(m.params["arc_weights"], grads["arc_weights"]), (m.params["rel_weights"], grads["rel_weights"])]
     if arrays == "second":
-        pairs.append((m.sib_params.weights, grads.sib.weights))
+        pairs.append((m.params["sib_weights"], grads["sib_weights"]))
     for params, g in pairs:
         idxs = np.flatnonzero(np.abs(g) > 1e-12)
         for idx in rng.choice(idxs, size=min(12, idxs.size), replace=False):

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from factorkd import models
 from factorkd.corpus import LabelAlphabet
+from factorkd.scorer import encode_array
+from factorkd.verify import rand_model
 
 LABELS = LabelAlphabet("labels", ["O", "S-X", "B-X", "E-X"]).freeze()
 
@@ -20,6 +23,25 @@ def _saved(tmp_path, family, edit):
 @pytest.mark.parametrize("family", sorted(models.FAMILIES))
 def test_load_accepts_every_family_as_saved(tmp_path, family):
     assert models.load_model(_saved(tmp_path, family, lambda p: None)).family == family
+
+    # a model with random parameters loads back bit for bit, every block
+    model = rand_model(family, np.random.default_rng(0), n_labels=len(LABELS))
+    models.save_model(model, tmp_path / "random.json")
+    loaded = models.load_model(tmp_path / "random.json")
+    assert list(loaded.params) == list(model.params)
+    for name, a in model.params.items():
+        assert loaded.params[name].shape == a.shape
+        assert loaded.params[name].tobytes() == a.tobytes()
+
+    # any one block one entry short is rejected, naming the file and the block
+    for name, a in model.params.items():
+        short = encode_array(np.zeros(a.size - 1))
+        path = _saved(tmp_path, family, lambda p: p["blocks"].update({name: short}))
+        with pytest.raises(
+            ValueError,
+            match=rf"model\.json: block '{name}' has {a.size - 1} entries, expected {a.size} ",
+        ):
+            models.load_model(path)
 
 
 def test_load_rejects_hash_bits_that_do_not_match_the_weights(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from factorkd.scorer import (
     FeatureHasher,
     FeatureVec,
-    SparseParams,
     accumulate_grad,
     build_slot_block,
     decode_array,
@@ -67,17 +66,17 @@ def test_arc_features_distinguish_heads():
 
 def test_zero_weights_score_zero():
     h = FeatureHasher(12)
-    params = SparseParams.zeros(h, 3)
+    params = {"weights": np.zeros(h.size), "bias": np.zeros(3)}
     f = featurize_token(h, TOKENS, 0)
     assert score(params, h, f, 1) == 0.0
 
 
 def test_one_hot_weight_linearity():
     h = FeatureHasher(12)
-    params = SparseParams.zeros(h, 2)
+    params = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
     f = FeatureVec(np.array([5], dtype=np.int64), np.array([1.0]))
     salt = h.label_salts(2)[1]
-    params.weights[5 ^ salt] = 2.5
+    params["weights"][5 ^ salt] = 2.5
     assert score(params, h, f, 1) == 2.5
     assert score(params, h, f, 0) == 0.0
 
@@ -85,19 +84,19 @@ def test_one_hot_weight_linearity():
 def test_score_matches_independent_dot_product():
     rng = np.random.default_rng(0)
     h = FeatureHasher(10)
-    params = SparseParams(rng.normal(size=h.size), rng.normal(size=4))
+    params = {"weights": rng.normal(size=h.size), "bias": rng.normal(size=4)}
     f = featurize_token(h, TOKENS, 2)
     for label in range(4):
         salt = int(h.label_salts(4)[label])
         expected = sum(
-            params.weights[int(i) ^ salt] * v for i, v in zip(f.ids, f.values)
-        ) + params.bias[label]
+            params["weights"][int(i) ^ salt] * v for i, v in zip(f.ids, f.values)
+        ) + params["bias"][label]
         assert score(params, h, f, label) == pytest.approx(expected, abs=1e-12)
 
 
 def test_invalid_label_rejected():
     h = FeatureHasher(10)
-    params = SparseParams.zeros(h, 2)
+    params = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
     f = featurize_token(h, TOKENS, 0)
     with pytest.raises(ValueError):
         score(params, h, f, 2)
@@ -105,50 +104,50 @@ def test_invalid_label_rejected():
 
 def test_accumulate_zero_coefficient_is_noop():
     h = FeatureHasher(10)
-    grad = SparseParams.zeros(h, 2)
+    grad = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
     f = featurize_token(h, TOKENS, 0)
     accumulate_grad(grad, h, f, 0, 0.0)
-    assert not grad.weights.any()
+    assert not grad["weights"].any()
 
 
 def test_accumulate_is_linear():
     h = FeatureHasher(10)
     f = featurize_token(h, TOKENS, 1)
-    g1 = SparseParams.zeros(h, 2)
+    g1 = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
     accumulate_grad(g1, h, f, 1, 0.7)
     accumulate_grad(g1, h, f, 1, -0.2)
-    g2 = SparseParams.zeros(h, 2)
+    g2 = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
     accumulate_grad(g2, h, f, 1, 0.5)
-    np.testing.assert_allclose(g1.weights, g2.weights, atol=1e-12)
-    np.testing.assert_allclose(g1.bias, g2.bias, atol=1e-12)
+    np.testing.assert_allclose(g1["weights"], g2["weights"], atol=1e-12)
+    np.testing.assert_allclose(g1["bias"], g2["bias"], atol=1e-12)
 
 
 def test_score_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     h = FeatureHasher(10)
-    params = SparseParams(rng.normal(size=h.size), rng.normal(size=3))
+    params = {"weights": rng.normal(size=h.size), "bias": rng.normal(size=3)}
     f = featurize_token(h, TOKENS, 0)
-    grad = SparseParams.zeros(h, 3)
+    grad = {"weights": np.zeros(h.size), "bias": np.zeros(3)}
     accumulate_grad(grad, h, f, 2, 1.0)
     eps = 1e-5
-    for idx in np.flatnonzero(grad.weights):
-        orig = params.weights[idx]
-        params.weights[idx] = orig + eps
+    for idx in np.flatnonzero(grad["weights"]):
+        orig = params["weights"][idx]
+        params["weights"][idx] = orig + eps
         up = score(params, h, f, 2)
-        params.weights[idx] = orig - eps
+        params["weights"][idx] = orig - eps
         down = score(params, h, f, 2)
-        params.weights[idx] = orig
+        params["weights"][idx] = orig
         fd = (up - down) / (2 * eps)
-        assert fd == pytest.approx(grad.weights[idx], rel=1e-4)
+        assert fd == pytest.approx(grad["weights"][idx], rel=1e-4)
 
 
 def test_slot_block_matches_scalar_scoring():
     rng = np.random.default_rng(5)
     h = FeatureHasher(10)
-    params = SparseParams(rng.normal(size=h.size), rng.normal(size=3))
+    params = {"weights": rng.normal(size=h.size), "bias": rng.normal(size=3)}
     fvecs = [featurize_token(h, TOKENS, i) for i in range(3)]
     block = build_slot_block(h, fvecs, 3)
-    table = block.scores(params)
+    table = block.scores(params["weights"], params["bias"])
     for i in range(3):
         for label in range(3):
             assert table[i, label] == pytest.approx(score(params, h, fvecs[i], label), abs=1e-12)
@@ -159,14 +158,14 @@ def test_slot_block_scatter_matches_accumulate():
     fvecs = [featurize_token(h, TOKENS, i) for i in range(2)]
     block = build_slot_block(h, fvecs, 2)
     coef = np.array([[0.3, -0.1], [0.0, 1.2]])
-    g_block = SparseParams.zeros(h, 2)
-    block.scatter(g_block, coef)
-    g_ref = SparseParams.zeros(h, 2)
+    g_block = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
+    block.scatter(g_block["weights"], g_block["bias"], coef)
+    g_ref = {"weights": np.zeros(h.size), "bias": np.zeros(2)}
     for i in range(2):
         for label in range(2):
             accumulate_grad(g_ref, h, fvecs[i], label, coef[i, label])
-    np.testing.assert_allclose(g_block.weights, g_ref.weights, atol=1e-12)
-    np.testing.assert_allclose(g_block.bias, g_ref.bias, atol=1e-12)
+    np.testing.assert_allclose(g_block["weights"], g_ref["weights"], atol=1e-12)
+    np.testing.assert_allclose(g_block["bias"], g_ref["bias"], atol=1e-12)
 
 
 def test_array_codec_round_trip():

@@ -164,8 +164,8 @@ def _random_model(T=2, seed=0):
     types = LabelAlphabet("entity-types", [f"T{i}" for i in range(T)]).freeze()
     m = SpanNerModel(types, bits=10)
     rng = np.random.default_rng(seed)
-    m.params.weights[:] = rng.normal(size=m.params.weights.shape)
-    m.params.bias[:] = rng.normal(size=m.params.bias.shape)
+    m.params["weights"][:] = rng.normal(size=m.params["weights"].shape)
+    m.params["bias"][:] = rng.normal(size=m.params["bias"].shape)
     return m
 
 
@@ -206,16 +206,16 @@ def test_model_nll_gradient_fd():
     m.nll_and_grad(prep, gold, grads)
     rng = np.random.default_rng(0)
     eps = 1e-5
-    idxs = np.flatnonzero(np.abs(grads.weights) > 1e-12)
+    idxs = np.flatnonzero(np.abs(grads["weights"]) > 1e-12)
     for idx in rng.choice(idxs, size=min(20, idxs.size), replace=False):
-        orig = m.params.weights[idx]
-        m.params.weights[idx] = orig + eps
+        orig = m.params["weights"][idx]
+        m.params["weights"][idx] = orig + eps
         up = m.nll_and_grad(prep, gold, m.new_grads())
-        m.params.weights[idx] = orig - eps
+        m.params["weights"][idx] = orig - eps
         down = m.nll_and_grad(prep, gold, m.new_grads())
-        m.params.weights[idx] = orig
+        m.params["weights"][idx] = orig
         fd = (up - down) / (2 * eps)
-        assert abs(fd - grads.weights[idx]) <= 1e-4 * max(1.0, abs(fd))
+        assert abs(fd - grads["weights"][idx]) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_model_serialization_round_trip():

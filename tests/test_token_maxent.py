@@ -17,8 +17,8 @@ def _model(L=3, bits=10):
 def _random_model(L=3, seed=0):
     m = _model(L)
     rng = np.random.default_rng(seed)
-    m.params.weights[:] = rng.normal(size=m.params.weights.shape)
-    m.params.bias[:] = rng.normal(size=m.params.bias.shape)
+    m.params["weights"][:] = rng.normal(size=m.params["weights"].shape)
+    m.params["bias"][:] = rng.normal(size=m.params["bias"].shape)
     return m
 
 
@@ -48,7 +48,7 @@ def test_rows_shift_invariant():
     m = _random_model(seed=2)
     prep = m.prepare(TOKENS)
     rows = m.token_distributions(prep).rows
-    m.params.bias += 3.7  # constant shift at every position
+    m.params["bias"] += 3.7  # constant shift at every position
     rows2 = m.token_distributions(prep).rows
     np.testing.assert_allclose(rows, rows2, atol=1e-12)
 
@@ -65,7 +65,7 @@ def test_peaked_nll_vanishes():
     gold = TagSequence((1, 0, 1, 0))
     prep = m.prepare(TOKENS)
     for i, t in enumerate(gold.tags):
-        m.params.weights[prep.slots[i, t][prep.vals[i] > 0]] += 20.0
+        m.params["weights"][prep.slots[i, t][prep.vals[i] > 0]] += 20.0
     loss = m.nll_and_grad(prep, gold, m.new_grads())
     assert loss == pytest.approx(0.0, abs=1e-9)
 
@@ -78,16 +78,16 @@ def test_nll_gradient_finite_differences():
     loss = m.nll_and_grad(prep, gold, grads)
     rng = np.random.default_rng(0)
     eps = 1e-5
-    idxs = np.flatnonzero(np.abs(grads.weights) > 1e-12)
+    idxs = np.flatnonzero(np.abs(grads["weights"]) > 1e-12)
     for idx in rng.choice(idxs, size=min(25, idxs.size), replace=False):
-        orig = m.params.weights[idx]
-        m.params.weights[idx] = orig + eps
+        orig = m.params["weights"][idx]
+        m.params["weights"][idx] = orig + eps
         up = m.nll_and_grad(prep, gold, m.new_grads())
-        m.params.weights[idx] = orig - eps
+        m.params["weights"][idx] = orig - eps
         down = m.nll_and_grad(prep, gold, m.new_grads())
-        m.params.weights[idx] = orig
+        m.params["weights"][idx] = orig
         fd = (up - down) / (2 * eps)
-        assert abs(fd - grads.weights[idx]) <= 1e-4 * max(1.0, abs(fd))
+        assert abs(fd - grads["weights"][idx]) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_invalid_gold_rejected():

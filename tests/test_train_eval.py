@@ -143,47 +143,6 @@ def test_crf_step_equals_mixed_losses():
     assert fused == pytest.approx(lam * kd + (1 - lam) * nll, abs=1e-12)
 
 
-def test_student_temperature_flag_changes_training():
-    rng = np.random.default_rng(9)
-    teacher = rand_model("ner-crf", rng)
-    tokens = rand_tokens(rng, 5)
-    table = teacher_marginal_table("2a", teacher, tokens, TemperatureConfig(1.0, "local"))
-    gold = TagSequence(tuple(int(t) for t in rng.integers(3, size=5)))
-    lam = 0.5
-    losses = {}
-    for ts in (1.0, 2.0):
-        student = rand_model("ner-maxent", np.random.default_rng(9))
-        prep = student.prepare(tokens)
-        losses[ts] = sentence_step(
-            student, prep, gold, table, lam, student.new_grads(), 1.0, student_temp=ts
-        )
-        # the split path must agree with the standalone losses
-        nll = student.nll_and_grad(prep, gold, student.new_grads())
-        kd, _ = kd_loss_local(table, student.logits(prep), ts)
-        assert losses[ts] == pytest.approx(lam * kd + (1 - lam) * nll, abs=1e-12)
-    assert abs(losses[1.0] - losses[2.0]) > 1e-6
-
-
-def test_kd_local_student_temp_gradient_fd():
-    rng = np.random.default_rng(10)
-    rows = np.exp(np.log([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]))
-    logits = rng.uniform(-2, 2, (3, 2))
-    from factorkd.token_maxent import TokenDistributions
-
-    table = TokenDistributions(rows)
-    _, grad = kd_loss_local(table, logits, student_temp=2.0)
-    eps = 1e-6
-    for i in range(3):
-        for j in range(2):
-            logits[i, j] += eps
-            up, _ = kd_loss_local(table, logits, student_temp=2.0)
-            logits[i, j] -= 2 * eps
-            down, _ = kd_loss_local(table, logits, student_temp=2.0)
-            logits[i, j] += eps
-            fd = (up - down) / (2 * eps)
-            assert fd == pytest.approx(grad[i, j], rel=1e-4, abs=1e-9)
-
-
 def test_parser_step_equals_mixed_losses():
     rng = np.random.default_rng(4)
     teacher = rand_model("dep-1st", rng)
@@ -213,7 +172,7 @@ def test_zero_epochs_returns_initial_model():
     tr, dv, tags = _tiny_chain()
     model = models.new_model("ner-maxent", tags, bits=10)
     model, manifest = train(model, tr, dv, TrainConfig(epochs=0, seed=1))
-    assert not model.params.weights.any()
+    assert not model.params["weights"].any()
     assert manifest.history == [] and manifest.best_epoch == 0
 
 
@@ -221,7 +180,7 @@ def test_empty_dev_keeps_last_epoch():
     tr, _, tags = _tiny_chain()
     model = models.new_model("ner-maxent", tags, bits=12)
     model, manifest = train(model, tr, [], TrainConfig(epochs=3, seed=1))
-    assert model.params.weights.any()
+    assert model.params["weights"].any()
     assert manifest.best_epoch == 3 and len(manifest.history) == 3
 
 
@@ -244,12 +203,14 @@ def test_constrained_crf_rejects_forbidden_gold(gold, part):
 
 
 # sha256 of the model files and manifests below, as written before the chain
-# forward-backward was batched; batching must not move a single bit
+# forward-backward was batched; batching must not move a single bit.  The
+# distilled students' manifests in these pins are hashed without the
+# config.distill.student_temp key, which no longer exists
 CRF_DIGESTS = {
     "teacher": "b01e4e3e67a7950a7982a85cacbf6df9db4b93fdc18d7980e89ed642b61b673c",
     "teacher_manifest": "0b447f1ad48bbd05394e1905a2f4ae35ee9e6c7773f4968a6f41f32120dc1d0f",
     "student": "3a72e0c34fda8aa5b80fbe4c663b12ff1683dbc60ee0a4dacdedd22ce638412b",
-    "student_manifest": "02fd7428c8b35e3ab9275e9bff2c8b6f46d88bf9d5c16f0b031046ca88d80548",
+    "student_manifest": "493fbcac24ebfe219edbc4858753699e262aa9075a63274bb3a544574374497a",
 }
 
 
@@ -284,9 +245,9 @@ MAXENT_DIGESTS = {
     "baseline": "96b49a1b98875e057d5417196fd4eb5890c22e36559744a31327e68df1e04285",
     "baseline_manifest": "c242ad1802f1e4ad71dfb15c2b50660d6c1cfcf2499bcb7b2335708f0e388b19",
     "student_2a": "c1accb9dab59414b3b383d05242817010b24cf718a595bcabc39193eddda5a42",
-    "student_2a_manifest": "934203f4a1607cdd1c56395557ac13633d74a53165d0071955cc52487976568d",
+    "student_2a_manifest": "b629c72d68361413ca9e66510fab8c15d82884a571ee7127f2b9bc033e128be4",
     "student_4": "2cc706d8e7f2889a11a8a14af51a839746cd4d77c99f22553b10d1ba380d9195",
-    "student_4_manifest": "3936df19c8d760fdaa12d0ea9a70abe19f97ae66a107fceeef6e1a6d8e8247ba",
+    "student_4_manifest": "76eef3d24fbb318cf030a4d5b077cfb6bb21c1a24f0c023a22ede9e3c495cfad",
 }
 
 
@@ -319,6 +280,40 @@ def test_maxent_baseline_and_2a_and_case4_students_are_pinned(tmp_path):
     )
     got.update(_digests(tmp_path, student, manifest, "student_4"))
     assert got == MAXENT_DIGESTS
+
+
+# sha256 of first- and second-order parser model files and manifests, as
+# written when every parser family kept its own parameter, gradient and
+# payload classes (the students' manifests without config.distill.student_temp)
+PARSER_DIGESTS = {
+    "teacher_1st": "6575c9e036c998af9f37ddebfed278ce5c09ac4cce4149f79ed2c0fe6ecb9bff",
+    "teacher_1st_manifest": "3f0e20f6e6839d008426eb615ac1dd8bcf50c20492efad6d1f7eeba47ef79c76",
+    "student_1b": "cc5d16b4acaa00b751cb36264a679ad22389f2fbd8bfe1a665b8e03414b961c6",
+    "student_1b_manifest": "58a4e5b511c98f1c2a7d1c2048f6c4c1f8356b249440bd92c2fa7c4973b69610",
+    "teacher_2nd": "23918ae66c149d7130067892cf6d295075542242b0776c01367f72b1568ae46f",
+    "teacher_2nd_manifest": "6d37912de20ab6e0b71a1220f2f5d4c9f713e6962a4f3245717cfdc69e63aad4",
+    "student_2b": "038c0e6d1e576085a498a141cb7bf45de494443049032ac712be978040e777a6",
+    "student_2b_manifest": "af3280c6d442844c5772bd558b9d88404ace5794cb8528f9727de3d17c498305",
+}
+
+
+def test_parser_teachers_and_1b_and_2b_students_are_pinned(tmp_path):
+    recs, rels = corpus.synth_generate("heads", 100, max_len=7, min_len=1, seed=9)
+    tr, dv = recs[:80], recs[80:]
+    got = {}
+    for order, case, mode in (("1st", "1b", "local"), ("2nd", "2b", "global")):
+        teacher = models.new_model(f"dep-{order}", rels, bits=12)
+        teacher, manifest = train(
+            teacher, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=3)
+        )
+        got.update(_digests(tmp_path, teacher, manifest, f"teacher_{order}"))
+        student, manifest = train(
+            models.new_model("dep-1st", rels, bits=12), tr, dv,
+            TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=4),
+            distill_cfg=DistillConfig(case, temperature=2.0, temp_mode=mode), teacher=teacher,
+        )
+        got.update(_digests(tmp_path, student, manifest, f"student_{case}"))
+    assert got == PARSER_DIGESTS
 
 
 # words whose hashed feature count ranges from 5 ("x") to 10 ("Maria"), so
@@ -371,8 +366,8 @@ def test_batched_maxent_step_equals_sentence_steps(seed, lengths, lam, bioes):
     got_losses = train_eval._step_maxent_batch(student, stacked, batch, tags, q, lam, got, coef)
 
     assert got_losses.tolist() == want_losses
-    np.testing.assert_array_equal(got.weights, want.weights)
-    np.testing.assert_array_equal(got.bias, want.bias)
+    np.testing.assert_array_equal(got["weights"], want["weights"])
+    np.testing.assert_array_equal(got["bias"], want["bias"])
     # the stack of the per-sentence blocks is the same block
     again = student.stack([student.prepare(t) for t in sentences])
     for name in ("ids", "vals", "widths", "offsets", "salts"):
@@ -389,8 +384,8 @@ def test_batched_evaluate_equals_per_sentence_decoding(monkeypatch):
     recs += [SentenceRecord(t, TagSequence(rng.integers(len(tags), size=len(t))))
              for t in _mixed_sentences(rng, [1, 3, 8, 2])]
     model = models.new_model("ner-maxent", tags, bits=10)
-    model.params.weights[:] = rng.normal(size=model.params.weights.shape)
-    model.params.bias[:] = rng.normal(size=model.params.bias.shape)
+    model.params["weights"][:] = rng.normal(size=model.params["weights"].shape)
+    model.params["bias"][:] = rng.normal(size=model.params["bias"].shape)
 
     per_sentence = [model.decode(model.prepare(r.tokens)) for r in recs]
     codec = corpus.bioes_codec_from_tags(tags)
