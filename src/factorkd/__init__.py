@@ -23,8 +23,6 @@ from .distill import (
     AnnealConfig,
     TemperatureConfig,
     apply_temperature,
-    kd_loss_global,
-    kd_loss_local,
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,

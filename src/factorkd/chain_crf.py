@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LabelAlphabet, TagSequence, BioesCodec
-from .numerics import NEG_INF, logsumexp_last, softmax_last
+from .numerics import NEG_INF, logsumexp_last, masked_inner, softmax_last
 from .scorer import (
     FeatureHasher,
     HashedModel,
@@ -192,29 +192,62 @@ def sequence_score(lat: ChainLattice, tags) -> float:
     return float(s)
 
 
-def nll_and_grad(lat: ChainLattice, gold: TagSequence):
-    """Negative log-likelihood of the gold sequence and its gradient with
-    respect to every lattice score (marginal minus gold indicator)."""
+def lattice_objective(lat: ChainLattice, gold, table, lam: float, fb=None):
+    """lam * KD + (1 - lam) * NLL of a chain lattice, and its gradient with
+    respect to every lattice score: (loss, LatticeGrad).
+
+    The NLL is log Z minus the score of the gold sequence; the KD loss is
+    log Z minus the score expected under the teacher's chain table, whose
+    first unary row couples to the start vector and the first emission (the
+    degenerate BOS pair), each pair slice to its transition and the emission
+    it ends on, and the last unary row to the stop vector.  The NLL is
+    lam = 0 with no table, the KD loss lam = 1 with no gold.  The gradient
+    is the student marginal minus the mixed target.  `fb` may carry the
+    lattice's (marginals, log Z) from a batched `forward_backward`.
+    """
     n, L = lat.emissions.shape
-    tags = tuple(gold)
-    if len(tags) != n:
-        raise ValueError(f"gold length {len(tags)} != lattice length {n}")
-    if any(not 0 <= t < L for t in tags):
-        raise ValueError("gold tag id outside the label space")
-    log_z, (marg,) = forward_backward([lat])
-    loss = log_z[0] - sequence_score(lat, tags)
+    if gold is not None:
+        tags = tuple(gold)
+        if len(tags) != n:
+            raise ValueError(f"gold length {len(tags)} != lattice length {n}")
+        if min(tags) < 0 or max(tags) >= L:
+            raise ValueError("gold tag id outside the label space")
+    if table is not None and table.unary.shape != (n, L):
+        raise ValueError(f"teacher table {table.unary.shape} != student lattice ({n}, {L})")
+    if fb is None:
+        (log_z,), (marg,) = forward_backward([lat])
+    else:
+        marg, log_z = fb
+
+    loss = log_z
+    target_u = np.zeros_like(marg.unary)
+    target_p = np.zeros_like(marg.pairwise)
+    if gold is not None:
+        loss = log_z - (1.0 - lam) * sequence_score(lat, tags)
+        target_u[np.arange(n), tags] = 1.0 - lam
+        for i in range(n - 1):
+            target_p[i, tags[i], tags[i + 1]] = 1.0 - lam
+    if table is not None and lam > 0.0:
+        q_first, q_last = table.unary[0], table.unary[n - 1]
+        expected = masked_inner(q_first, lat.start + lat.emissions[0]) + masked_inner(
+            q_last, lat.stop
+        )
+        for i in range(n - 1):
+            expected += masked_inner(
+                table.pairwise[i], lat.transitions[i] + lat.emissions[i + 1][None, :]
+            )
+        loss -= lam * expected
+        target_u += lam * table.unary
+        target_p += lam * table.pairwise
 
     d_em = marg.unary.copy()
-    d_tr = marg.pairwise.copy()
-    d_start = marg.unary[0].copy()
-    d_stop = marg.unary[n - 1].copy()
-    for i, t in enumerate(tags):
-        d_em[i, t] -= 1.0
-    for i in range(n - 1):
-        d_tr[i, tags[i], tags[i + 1]] -= 1.0
-    d_start[tags[0]] -= 1.0
-    d_stop[tags[n - 1]] -= 1.0
-    return float(loss), LatticeGrad(d_em, d_tr, d_start, d_stop)
+    d_em[0] -= target_u[0]
+    if n > 1:
+        d_em[1:] -= target_p.sum(axis=1)
+    g = LatticeGrad(
+        d_em, marg.pairwise - target_p, marg.unary[0] - target_u[0], marg.unary[-1] - target_u[-1]
+    )
+    return float(loss), g
 
 
 def backward_scores(lat: ChainLattice) -> np.ndarray:
@@ -277,6 +310,7 @@ class ChainCrfTagger(HashedModel):
 
     family = "ner-crf"
     alphabet_key = "tags"
+    gold_type = TagSequence
     options = ("constrain_bioes",)
 
     def __init__(self, tags: LabelAlphabet, bits: int = 20, constrain_bioes: bool = False):
@@ -319,12 +353,13 @@ class ChainCrfTagger(HashedModel):
             stop = stop + self._masks[2]
         return ChainLattice(em, tr, start, stop)
 
-    def forbidden_part(self, tags):
-        """The first start, transition or stop of a tag sequence that the
-        BIOES constraints forbid, described by its labels; None if the
+    def forbidden_part(self, gold: TagSequence):
+        """The first start, transition or stop of a gold tag sequence that
+        the BIOES constraints forbid, described by its labels; None if the
         sequence is allowed (always, for an unconstrained tagger)."""
         if self._masks is None:
             return None
+        tags = gold.tags
         trans, start, stop = self._masks
         label = self.tags.label
         if start[tags[0]] == NEG_INF:
@@ -336,11 +371,17 @@ class ChainCrfTagger(HashedModel):
             return f"stop {label(tags[-1])}"
         return None
 
-    def scatter_lattice_grad(self, prep: SlotBlock, g: LatticeGrad, out: dict, coef=1.0):
+    def objective(self, prep: SlotBlock, gold, table, lam: float, out: dict, coef=1.0, chain=None):
+        """One sentence's `lattice_objective`; accumulates coef * gradient
+        into out and returns the loss.  `chain` may carry the sentence's
+        (lattice, marginals, log Z) from a batched `forward_backward`."""
+        lat, fb = (self.lattice(prep), None) if chain is None else (chain[0], chain[1:])
+        loss, g = lattice_objective(lat, gold, table, lam, fb)
         prep.scatter(out["weights"], out["bias"], coef * g.emissions)
         out["trans"] += coef * g.transitions.sum(axis=0)
         out["start"] += coef * g.start
         out["stop"] += coef * g.stop
+        return loss
 
     def decode(self, prep: SlotBlock) -> TagSequence:
         return viterbi(self.lattice(prep))

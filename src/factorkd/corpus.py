@@ -91,6 +91,9 @@ class TagSequence:
     def __post_init__(self):
         object.__setattr__(self, "tags", tuple(int(t) for t in self.tags))
 
+    def label_ids(self):
+        return self.tags
+
     def __len__(self):
         return len(self.tags)
 
@@ -119,6 +122,9 @@ class HeadAssignment:
         object.__setattr__(self, "heads", heads)
         object.__setattr__(self, "rels", rels)
 
+    def label_ids(self):
+        return self.rels
+
     def __len__(self):
         return len(self.heads)
 
@@ -146,6 +152,9 @@ class SpanSet:
             if e > n:
                 raise ValueError(f"span ({s},{e}) exceeds sentence length {n}")
         return self
+
+    def label_ids(self):
+        return [t for _, _, t in sorted(self.spans)]
 
     def __len__(self):
         return len(self.spans)
@@ -344,7 +353,8 @@ def read_conllu(source, rel_alphabet: LabelAlphabet | None = None):
     """Read 10-column CoNLL-U; only ID, FORM, HEAD and DEPREL are consumed.
 
     Comment lines start with '#'; multiword ranges and empty nodes (any
-    non-integer ID) are skipped.
+    non-integer ID) are skipped.  Each integer ID must be the token's 1-based
+    position in its sentence, since HEAD refers to tokens by ID.
     """
     if rel_alphabet is None:
         rel_alphabet = LabelAlphabet("deprel")
@@ -373,6 +383,8 @@ def read_conllu(source, rel_alphabet: LabelAlphabet | None = None):
             raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line_no)
         if not cols[0].isdigit():
             continue  # multiword token range or empty node
+        if int(cols[0]) != len(tokens) + 1:
+            raise ParseError(f"token ID {cols[0]} where {len(tokens) + 1} was expected", line_no)
         try:
             head = int(cols[6])
         except ValueError:

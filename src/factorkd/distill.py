@@ -4,8 +4,9 @@ Teacher marginals are always taken over the *student's* substructure space:
 pairwise label tables for CRF students, per-token label rows for MaxEnt
 students, per-token arc distributions for head-selection students, and
 BIOES rows for the span-teacher case.  Globally normalized students pay
-their own log-partition term; locally normalized students reduce to a sum
-of per-site cross-entropies.
+their own log-partition term (`chain_crf.lattice_objective`); locally
+normalized students reduce to a sum of per-site cross-entropies
+(`numerics.rows_objective`).
 
 Temperature is applied to the teacher only: global mode divides every score
 entering the teacher's marginalization by T, local mode computes marginals
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain_crf
-from .chain_crf import ChainCrfTagger, ChainLattice, ChainMarginals, LatticeGrad
+from .chain_crf import ChainCrfTagger, ChainMarginals
 from .corpus import PSEUDO_LABELED, SentenceRecord, TagSequence
 from .head_parser import ArcDistributions, FirstOrderParser, SecondOrderParser, decode_heads
-from .numerics import log_softmax, masked_inner
+from .numerics import log_softmax
 from .span_ner import BioesMarginals, SpanNerModel, bioes_marginals, decode_spans
 from .token_maxent import MaxEntTagger, TokenDistributions, pair_marginals_from_tokens
 
@@ -163,79 +164,6 @@ def teacher_marginal_table(case, teacher, tokens, temp: TemperatureConfig):
         return apply_temperature(table, t) if temp.mode == "local" else table
 
     raise ValueError(f"unknown case {case.tag}")
-
-
-# ---------------------------------------------------------------------------
-# Factorized KD losses
-
-
-def _rows_cross_entropy(q: np.ndarray, logits: np.ndarray):
-    lp = log_softmax(logits)
-    loss = -masked_inner(q, lp)
-    d_logits = np.exp(lp) - q
-    return loss, d_logits
-
-
-def kd_loss_local(table, student_logits):
-    """Sum over substructure sites of the cross-entropy between the teacher
-    row and the student's local softmax.
-
-    For token/BIOES tables pass the (n, L) student logit matrix; for arc
-    tables pass (arc_logits, rel_logits).  Returns (loss, gradient) with the
-    gradient matching the logits' shape(s).
-    """
-    if isinstance(table, (TokenDistributions, BioesMarginals)):
-        q = table.rows
-        if q.shape != student_logits.shape:
-            raise ValueError(f"teacher table {q.shape} != student logits {student_logits.shape}")
-        return _rows_cross_entropy(q, student_logits)
-    if isinstance(table, ArcDistributions):
-        arc_logits, rel_logits = student_logits
-        if table.head_rows.shape != arc_logits.shape or table.rel_rows.shape != rel_logits.shape:
-            raise ValueError("teacher arc table does not match student logit shapes")
-        loss_h, d_arc = _rows_cross_entropy(table.head_rows, arc_logits)
-        loss_r, d_rel = _rows_cross_entropy(table.rel_rows, rel_logits)
-        return loss_h + loss_r, (d_arc, d_rel)
-    raise TypeError(f"kd_loss_local cannot consume {type(table).__name__}")
-
-
-def kd_loss_global(table: ChainMarginals, lat: ChainLattice):
-    """Factorized KD loss against a globally normalized chain student:
-    minus the teacher-expected student score plus the student log-partition.
-
-    The emission at position 1 and the start vector couple to the teacher's
-    first unary row (the degenerate BOS pair), emissions at later positions
-    couple to the incoming pair slice, and the stop vector couples to the
-    last unary row.  The gradient per lattice score is the student marginal
-    minus the teacher marginal.
-    """
-    if not isinstance(table, ChainMarginals):
-        raise TypeError(f"kd_loss_global needs a chain table, got {type(table).__name__}")
-    n, L = lat.emissions.shape
-    if table.unary.shape != (n, L):
-        raise ValueError(f"teacher table {table.unary.shape} != student lattice ({n}, {L})")
-    (log_z,), (marg,) = chain_crf.forward_backward([lat])
-
-    q_first = table.unary[0]
-    q_last = table.unary[n - 1]
-    expected = masked_inner(q_first, lat.start + lat.emissions[0]) + masked_inner(
-        q_last, lat.stop
-    )
-    for i in range(n - 1):
-        expected += masked_inner(
-            table.pairwise[i], lat.transitions[i] + lat.emissions[i + 1][None, :]
-        )
-    loss = log_z - expected
-
-    d_em = marg.unary.copy()
-    d_em[0] -= q_first
-    if n > 1:
-        d_em[1:] -= table.pairwise.sum(axis=1)
-    d_tr = marg.pairwise - table.pairwise
-    d_start = marg.unary[0] - q_first
-    d_stop = marg.unary[n - 1] - q_last
-    g = LatticeGrad(d_em, d_tr, d_start, d_stop)
-    return float(loss), g
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import HeadAssignment, LabelAlphabet
-from .numerics import NEG_INF, log_softmax, softmax_last
+from .numerics import NEG_INF, log_softmax, rows_objective, softmax_last
 from .scorer import (
     FeatureHasher,
     FeatureVec,
@@ -159,6 +159,7 @@ class FirstOrderParser(HashedModel):
 
     family = "dep-1st"
     alphabet_key = "rels"
+    gold_type = HeadAssignment
 
     def __init__(self, rels: LabelAlphabet, bits: int = 20):
         self.rels = rels
@@ -207,18 +208,17 @@ class FirstOrderParser(HashedModel):
     def scatter_rel_grad(self, prep: PreparedParse, d_rel: np.ndarray, out: dict, coef=1.0):
         prep.rel_block.scatter(out["rel_weights"], out["rel_bias"], coef * d_rel)
 
-    def nll_and_grad(self, prep: PreparedParse, gold: HeadAssignment, out: dict, coef=1.0):
-        """-log P(gold head) - log P(gold rel), summed over tokens."""
-        arc_lp = log_softmax(self.arc_logits(prep))
-        rel_lp = log_softmax(self.rel_logits(prep))
-        idx = np.arange(prep.n)
-        heads = np.array(gold.heads)
-        rels = np.array(gold.rels)
-        loss = -float(arc_lp[idx, heads].sum() + rel_lp[idx, rels].sum())
-        d_arc = np.exp(arc_lp)
-        d_arc[idx, heads] -= 1.0
-        d_rel = np.exp(rel_lp)
-        d_rel[idx, rels] -= 1.0
+    def objective(self, prep: PreparedParse, gold, table, lam: float, out: dict, coef=1.0):
+        """`rows_objective` over the head rows and the relation rows of one
+        sentence; accumulates coef * gradient into out and returns the loss."""
+        heads = rels = q_head = q_rel = None
+        if gold is not None:
+            heads, rels = np.array(gold.heads), np.array(gold.rels)
+        if table is not None:
+            q_head, q_rel = table.head_rows, table.rel_rows
+        loss, (d_arc, d_rel) = rows_objective(
+            [(self.arc_logits(prep), heads, q_head), (self.rel_logits(prep), rels, q_rel)], lam
+        )
         self.scatter_arc_grad(prep, d_arc, out, coef)
         self.scatter_rel_grad(prep, d_rel, out, coef)
         return loss
@@ -278,7 +278,11 @@ class SecondOrderParser(FirstOrderParser):
             self.head_rows(prep, scale), softmax_last(self.rel_logits(prep, scale))
         )
 
-    def nll_and_grad(self, prep: PreparedParse, gold: HeadAssignment, out: dict, coef=1.0):
+    def objective(self, prep: PreparedParse, gold, table, lam: float, out: dict, coef=1.0):
+        """The gold NLL through the mean-field iterations; this family is a
+        teacher only, so lam must be 0."""
+        if lam > 0.0:
+            raise ValueError("the second-order parser is a teacher family, not a KD student")
         arc = self.arc_logits(prep)
         sib = self.sib_tensor(prep)
         qs = mfvi_trace(arc, sib, self.iterations)

@@ -80,6 +80,42 @@ def masked_inner(q: np.ndarray, s: np.ndarray) -> float:
     return float(masked_product(q, s).sum())
 
 
+def rows_objective(row_sets, lam: float, runs=None):
+    """lam * KD + (1 - lam) * NLL of locally normalized rows, and its gradient.
+
+    Each row set is (logits, gold ids or None, teacher rows or None): the
+    NLL sums -log softmax(logits)[gold] over the rows, the KD loss sums the
+    cross-entropies of the teacher rows against the rows' softmax.  The NLL
+    is lam = 0 with no teacher rows, the KD loss lam = 1 with no gold.  The
+    sets' NLL and KD sums are each added up before they are mixed.  Returns
+    (loss, [d loss / d logits per set]); the loss is a float, or with `runs`
+    an array of per-run sums.
+    """
+    total = (lambda x: float(x.sum())) if runs is None else (lambda x: runs.sums(x, flat=True))
+    nll = kd = 0.0
+    grads = []
+    for logits, gold, q in row_sets:
+        logp = log_softmax(logits)
+        p = np.exp(logp)
+        if gold is None:
+            d = np.zeros_like(p)
+        else:
+            if gold.min() < 0 or gold.max() >= p.shape[1]:
+                raise ValueError("gold label id outside the label space")
+            idx = np.arange(len(gold))
+            nll += total(logp[idx, gold])
+            d = p.copy()
+            d[idx, gold] -= 1.0
+            d *= 1.0 - lam
+        if q is not None and lam > 0.0:
+            if q.shape != p.shape:
+                raise ValueError(f"teacher rows {q.shape} != student logits {p.shape}")
+            kd += total(masked_product(q, logp))
+            d += lam * (p - q)
+        grads.append(d)
+    return (1.0 - lam) * -nll - lam * kd, grads
+
+
 class Runs:
     """Consecutive runs of rows, the k-th run lengths[k] rows long, grouped
     by length so that each sum over them is one reduction per length."""

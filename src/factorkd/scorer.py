@@ -327,12 +327,18 @@ class HashedModel:
     keys, a checkpoint is a copy of the arrays, and a model file holds one
     base64 block per array plus a header: the hash width, the alphabet in
     the attribute named `alphabet_key`, and the constructor arguments named
-    in `options`.
+    in `options`.  `gold_type` is the class of the family's gold structures.
     """
 
     family: str
     alphabet_key: str
+    gold_type: type
     options: tuple = ()
+
+    def forbidden_part(self, gold):
+        """The first part of a gold structure that the model's constraints
+        forbid, described by its labels; None when it is allowed."""
+        return None
 
     def new_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.params.items()}

@@ -199,6 +199,7 @@ class SpanNerModel(HashedModel):
 
     family = "ner-span"
     alphabet_key = "types"
+    gold_type = SpanSet
 
     def __init__(self, types: LabelAlphabet, bits: int = 20):
         self.types = types
@@ -230,9 +231,12 @@ class SpanNerModel(HashedModel):
         d_flat = np.stack([d_table[i, j, :] for i, j in sites])
         block.scatter(out["weights"], out["bias"], coef * d_flat)
 
-    def nll_and_grad(self, prep, gold: SpanSet, out: dict, coef=1.0):
+    def objective(self, prep, gold: SpanSet, table, lam: float, out: dict, coef=1.0):
         """log Z minus the gold structure's score; gradient per span score
-        is its marginal minus the gold indicator."""
+        is its marginal minus the gold indicator.  This family is a teacher
+        only, so lam must be 0."""
+        if lam > 0.0:
+            raise ValueError("the span NER model is a teacher family, not a KD student")
         table = self.score_table(prep)
         log_z = span_log_partition(table)
         gold_score = 0.0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .chain_crf import ChainMarginals
 from .corpus import LabelAlphabet, TagSequence
-from .numerics import log_softmax
+from .numerics import Runs, log_softmax, rows_objective
 from .scorer import (
     FeatureHasher,
     HashedModel,
@@ -47,6 +47,7 @@ class TokenDistributions:
 class MaxEntTagger(HashedModel):
     family = "ner-maxent"
     alphabet_key = "tags"
+    gold_type = TagSequence
 
     def __init__(self, tags: LabelAlphabet, bits: int = 20):
         self.tags = tags
@@ -75,18 +76,27 @@ class MaxEntTagger(HashedModel):
     def token_distributions(self, prep: SlotBlock, scale: float = 1.0) -> TokenDistributions:
         return TokenDistributions(np.exp(log_softmax(self.logits(prep, scale))))
 
-    def nll_and_grad(self, prep: SlotBlock, gold: TagSequence, out: dict, coef=1.0):
-        """Sum of per-position cross-entropies against the gold one-hots;
-        accumulates coef * gradient into out and returns the loss."""
-        tags = tuple(gold)
-        logp = log_softmax(self.logits(prep))
-        if any(not 0 <= t < logp.shape[1] for t in tags):
-            raise ValueError("gold tag id outside the label space")
-        idx = np.arange(len(tags))
-        loss = -float(logp[idx, tags].sum())
-        d = np.exp(logp)
-        d[idx, tags] -= 1.0
+    def objective(self, prep: SlotBlock, gold, table, lam: float, out: dict, coef=1.0):
+        """One sentence's `rows_objective` over its token rows; accumulates
+        coef * gradient into out and returns the loss."""
+        gold_ids = None if gold is None else np.asarray(gold.tags)
+        q = None if table is None else table.rows
+        loss, (d,) = rows_objective([(self.logits(prep), gold_ids, q)], lam)
         prep.scatter(out["weights"], out["bias"], coef * d)
+        return loss
+
+    def batch_objective(self, corpus: StackedBlock, sentences, tags, q, lam, out, coef=1.0):
+        """`objective` for a whole mini-batch of a stacked corpus: one score,
+        softmax and scatter over the sentences' sites.  `tags` and `q` are the
+        gold tags and teacher rows (or None) of every site of the corpus.
+        Returns the per-sentence losses in batch order, each bit-identical to
+        `objective`'s, and leaves the same gradient in `out`."""
+        rows = corpus.rows(sentences)
+        runs = Runs(corpus.offsets[sentences + 1] - corpus.offsets[sentences])
+        logits = corpus.scores(self.params["weights"], self.params["bias"], rows)
+        qb = None if q is None else q[rows]
+        loss, (d,) = rows_objective([(logits, tags[rows], qb)], lam, runs)
+        corpus.scatter(out["weights"], out["bias"], coef * d, rows, runs)
         return loss
 
     def decode(self, prep: SlotBlock) -> TagSequence:

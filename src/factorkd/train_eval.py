@@ -3,9 +3,10 @@
 Models start from zero parameters, so a run is fully determined by its
 seed (which only drives sentence shuffling) and config.  When distilling,
 each sentence contributes lambda * KD + (1 - lambda) * target, with lambda
-annealed per optimizer step; both parts share one forward pass.  A MaxEnt
-corpus is stacked once into a StackedBlock, and each mini-batch of it is one
-gather, softmax and scatter over all its sites.
+annealed per optimizer step; both parts share one forward pass, in each
+family's `objective`.  A MaxEnt corpus is stacked once into a StackedBlock,
+and each mini-batch of it is one gather, softmax and scatter over all its
+sites.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .distill import (
     pseudo_label,
     teacher_marginal_table,
 )
-from .head_parser import FirstOrderParser, SecondOrderParser
-from .numerics import Runs, log_softmax, masked_inner, masked_product
 from .scorer import StackedBlock
-from .span_ner import SpanNerModel
 from .token_maxent import MaxEntTagger
 
 FIXED_SEEDS = (1, 2, 3, 4, 5)
@@ -152,153 +150,30 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Per-family training steps (one forward pass serves target and KD losses)
+# Input checks
 
 
-def _check_gold(model, gold, index):
-    if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
-        want = TagSequence
-    elif isinstance(model, (FirstOrderParser, SecondOrderParser)):
-        want = HeadAssignment
-    else:
-        want = SpanSet
+def _check_gold(model, rec, index, table=None):
+    """Raise ValueError, naming the record, if its gold structure or teacher
+    table does not fit the model: the wrong gold type, a label id outside
+    the model's alphabet, a part the model's constraints forbid, or a table
+    over a different number of tokens."""
+    gold, want = rec.gold, model.gold_type
     if not isinstance(gold, want):
         raise ValueError(
             f"{type(model).__name__} trains on {want.__name__} gold, got {type(gold).__name__}"
         )
-    if isinstance(model, ChainCrfTagger):
-        forbidden = model.forbidden_part(gold.tags)
-        if forbidden is not None:
-            raise ValueError(
-                f"record {index}: gold has a {forbidden} that the BIOES constraints forbid"
-            )
-
-
-def _step_maxent(model, prep, gold, table, lam, grads, coef):
-    logp = log_softmax(model.logits(prep))
-    p = np.exp(logp)
-    idx = np.arange(len(gold))
-    tags = np.array(gold.tags)
-    loss_t = -float(logp[idx, tags].sum())
-    d = p.copy()
-    d[idx, tags] -= 1.0
-    loss = (1.0 - lam) * loss_t
-    d *= 1.0 - lam
-    if lam > 0.0:
-        q = table.rows
-        loss -= lam * masked_inner(q, logp)
-        d += lam * (p - q)
-    prep.scatter(grads["weights"], grads["bias"], coef * d)
-    return loss
-
-
-def _step_maxent_batch(model, corpus, sentences, tags, q, lam, grads, coef):
-    """`_step_maxent` for a whole mini-batch of a stacked corpus: one score,
-    softmax and scatter over the sentences' sites.  `tags` and `q` are the
-    gold tags and teacher rows of every site of the corpus.  Returns the
-    per-sentence losses in batch order, each bit-identical to the
-    per-sentence step's, and leaves the same gradient in `grads`."""
-    rows = corpus.rows(sentences)
-    runs = Runs(corpus.offsets[sentences + 1] - corpus.offsets[sentences])
-    logp = log_softmax(corpus.scores(model.params["weights"], model.params["bias"], rows))
-    p = np.exp(logp)
-    idx = np.arange(len(rows))
-    gold = tags[rows]
-    loss = (1.0 - lam) * -runs.sums(logp[idx, gold], flat=True)
-    d = p.copy()
-    d[idx, gold] -= 1.0
-    d *= 1.0 - lam
-    if lam > 0.0:
-        qb = q[rows]
-        loss -= lam * runs.sums(masked_product(qb, logp), flat=True)
-        d += lam * (p - qb)
-    corpus.scatter(grads["weights"], grads["bias"], coef * d, rows, runs)
-    return loss
-
-
-def _step_crf(model, prep, gold, table, lam, grads, coef, chain=None):
-    if chain is None:
-        lat = model.lattice(prep)
-        (log_z,), (marg,) = chain_crf.forward_backward([lat])
-    else:
-        lat, marg, log_z = chain
-    n = lat.n
-    tags = tuple(gold)
-
-    loss = log_z - (1.0 - lam) * chain_crf.sequence_score(lat, tags)
-    target_u = np.zeros_like(marg.unary)
-    target_p = np.zeros_like(marg.pairwise)
-    target_u[np.arange(n), tags] = 1.0 - lam
-    for i in range(n - 1):
-        target_p[i, tags[i], tags[i + 1]] = 1.0 - lam
-    if lam > 0.0:
-        q_first, q_last = table.unary[0], table.unary[n - 1]
-        expected = masked_inner(q_first, lat.start + lat.emissions[0]) + masked_inner(
-            q_last, lat.stop
+    n_labels = len(getattr(model, model.alphabet_key))
+    bad = [label for label in gold.label_ids() if not 0 <= label < n_labels]
+    if bad:
+        raise ValueError(f"record {index}: gold label id {bad[0]} outside 0..{n_labels - 1}")
+    forbidden = model.forbidden_part(gold)
+    if forbidden is not None:
+        raise ValueError(
+            f"record {index}: gold has a {forbidden} that the BIOES constraints forbid"
         )
-        for i in range(n - 1):
-            expected += masked_inner(
-                table.pairwise[i], lat.transitions[i] + lat.emissions[i + 1][None, :]
-            )
-        loss -= lam * expected
-        target_u += lam * table.unary
-        target_p += lam * table.pairwise
-
-    d_em = marg.unary.copy()
-    d_em[0] -= target_u[0]
-    if n > 1:
-        d_em[1:] -= target_p.sum(axis=1)
-    g = chain_crf.LatticeGrad(
-        d_em, marg.pairwise - target_p, marg.unary[0] - target_u[0], marg.unary[-1] - target_u[-1]
-    )
-    model.scatter_lattice_grad(prep, g, grads, coef)
-    return float(loss)
-
-
-def _step_parser(model, prep, gold, table, lam, grads, coef):
-    arc_lp = log_softmax(model.arc_logits(prep))
-    rel_lp = log_softmax(model.rel_logits(prep))
-    idx = np.arange(prep.n)
-    heads, rels = np.array(gold.heads), np.array(gold.rels)
-    loss_t = -float(arc_lp[idx, heads].sum() + rel_lp[idx, rels].sum())
-    d_arc = np.exp(arc_lp)
-    d_arc[idx, heads] -= 1.0
-    d_rel = np.exp(rel_lp)
-    d_rel[idx, rels] -= 1.0
-    loss = (1.0 - lam) * loss_t
-    d_arc *= 1.0 - lam
-    d_rel *= 1.0 - lam
-    if lam > 0.0:
-        qh, qr = table.head_rows, table.rel_rows
-        loss -= lam * (masked_inner(qh, arc_lp) + masked_inner(qr, rel_lp))
-        d_arc += lam * (np.exp(arc_lp) - qh)
-        d_rel += lam * (np.exp(rel_lp) - qr)
-    model.scatter_arc_grad(prep, d_arc, grads, coef)
-    model.scatter_rel_grad(prep, d_rel, grads, coef)
-    return loss
-
-
-def sentence_step(model, prep, gold, table, lam, grads, coef, chain=None):
-    """One sentence's loss, its gradient scattered into `grads` at `coef`.
-
-    For a CRF, `chain` may carry the sentence's (lattice, marginals, log Z)
-    from a batched forward-backward; without it the step computes them.
-    """
-    if isinstance(model, MaxEntTagger):
-        return _step_maxent(model, prep, gold, table, lam, grads, coef)
-    if isinstance(model, ChainCrfTagger):
-        return _step_crf(model, prep, gold, table, lam, grads, coef, chain)
-    if isinstance(model, SecondOrderParser):
-        if lam > 0.0:
-            raise ValueError("the second-order parser is a teacher family, not a KD student")
-        return model.nll_and_grad(prep, gold, grads, coef)
-    if isinstance(model, FirstOrderParser):
-        return _step_parser(model, prep, gold, table, lam, grads, coef)
-    if isinstance(model, SpanNerModel):
-        if lam > 0.0:
-            raise ValueError("the span NER model is a teacher family, not a KD student")
-        return model.nll_and_grad(prep, gold, grads, coef)
-    raise TypeError(f"cannot train {type(model).__name__}")
+    if table is not None and table.n != len(rec):
+        raise ValueError(f"record {index}: teacher table over {table.n} tokens, record {len(rec)}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +207,7 @@ def metric_gold(model, records):
     """The gold side of `evaluate`'s metric: span sets for a tagger with
     BIOES tags, the records' own gold otherwise."""
     golds = [r.gold for r in records]
-    if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
+    if model.gold_type is TagSequence:
         codec = bioes_codec_from_tags(model.tags)
         if len(codec.types):
             return _bioes_spans(model, codec, golds)
@@ -353,17 +228,17 @@ def evaluate(model, records, prepared=None, gold=None):
         preds = model.decode_corpus(prepared)
     else:
         preds = [model.decode(p) for p in prepared]
-    if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
+    if model.gold_type is TagSequence:
         codec = bioes_codec_from_tags(model.tags)
         if len(codec.types) == 0:
             acc = token_accuracy(preds, gold)
             return acc, {"token_accuracy": acc}
         p, r, f1 = entity_f1(_bioes_spans(model, codec, preds), gold)
         return f1, {"precision": p, "recall": r, "f1": f1}
-    if isinstance(model, (FirstOrderParser, SecondOrderParser)):
+    if model.gold_type is HeadAssignment:
         u, l = uas_las(preds, gold)
         return l, {"uas": u, "las": l}
-    if isinstance(model, SpanNerModel):
+    if model.gold_type is SpanSet:
         p, r, f1 = entity_f1(preds, gold)
         return f1, {"precision": p, "recall": r, "f1": f1}
     raise TypeError(f"cannot evaluate {type(model).__name__}")
@@ -400,7 +275,7 @@ def train(
     preps) and `teacher_tables` may be passed to share work across runs
     (they must align with the records).  A MaxEnt mini-batch is one batched
     step over its sites; a CRF mini-batch runs one batched forward-backward
-    that the per-sentence steps then consume in batch order.  Raises
+    that the per-sentence objectives consume in batch order.  Raises
     DivergedError (a ValueError) if an epoch's training loss is not finite.
     """
     if not train_records:
@@ -413,8 +288,10 @@ def train(
             raise ValueError(
                 f"case {case.tag} expects a {case.student_family} student, got {model.family}"
             )
+    if teacher_tables is not None and len(teacher_tables) != len(train_records):
+        raise ValueError(f"{len(teacher_tables)} teacher tables for {len(train_records)} records")
     for index, rec in enumerate(train_records):
-        _check_gold(model, rec.gold, index)
+        _check_gold(model, rec, index, None if teacher_tables is None else teacher_tables[index])
 
     prepared = _prepared(model, train_records, prepared)
     dev_prepared = _prepared(model, dev_records, dev_prepared)
@@ -429,8 +306,6 @@ def train(
         site_tags = np.array([t for r in train_records for t in r.gold.tags], dtype=np.int64)
         site_q = None
         if teacher_tables is not None:
-            if [len(q.rows) for q in teacher_tables] != [len(r) for r in train_records]:
-                raise ValueError("teacher tables do not align with the training records")
             site_q = np.concatenate([q.rows for q in teacher_tables])
 
     n = len(train_records)
@@ -479,23 +354,21 @@ def train(
                 g.fill(0.0)
             coef = 1.0 / len(batch)
             if maxent:
-                losses = _step_maxent_batch(
-                    model, prepared, batch, site_tags, site_q, lam, grads, coef
+                losses = model.batch_objective(
+                    prepared, batch, site_tags, site_q, lam, grads, coef
                 )
                 for loss in losses.tolist():  # in batch order, as the per-sentence sum
                     epoch_loss += loss
             else:
-                chains = [None] * len(batch)
+                extras = [{}] * len(batch)
                 if is_crf:
                     lats = [model.lattice(prepared[i]) for i in batch]
                     log_z, margs = chain_crf.forward_backward(lats)
-                    chains = list(zip(lats, margs, log_z))
-                for i, chain in zip(batch, chains):
+                    extras = [{"chain": chain} for chain in zip(lats, margs, log_z)]
+                for i, extra in zip(batch, extras):
                     table = teacher_tables[i] if teacher_tables is not None else None
-                    prep = prepared[i]
-                    epoch_loss += sentence_step(
-                        model, prep, train_records[i].gold, table, lam, grads, coef,
-                        chain=chain,
+                    epoch_loss += model.objective(
+                        prepared[i], train_records[i].gold, table, lam, grads, coef, **extra
                     )
             model.sgd_step(grads, cfg.lr)
             step += 1

@@ -14,26 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain_crf, distill, oracle, span_ner
-from .chain_crf import ChainCrfTagger, ChainLattice
+from .chain_crf import ChainLattice, lattice_objective
 from .corpus import HeadAssignment, LabelAlphabet, SpanSet, TagSequence
-from .distill import TemperatureConfig, kd_loss_global, kd_loss_local, teacher_marginal_table
+from .distill import TemperatureConfig, teacher_marginal_table
 from .head_parser import (
     ArcDistributions,
-    FirstOrderParser,
-    SecondOrderParser,
     arc_marginal,
     mfvi_second_order,
     self_mask,
 )
 from .models import new_model
-from .numerics import softmax_last
+from .numerics import rows_objective, softmax_last
 from .span_ner import SpanScoreTable
 from .token_maxent import MaxEntTagger, TokenDistributions, pair_marginals_from_tokens
-from .train_eval import sentence_step
 
 MARGINAL_TOL = 1e-9
 GRAD_TOL = 1e-4
 STATIONARY_TOL = 1e-7
+FLAT_DIRECTION = 1e-7
 
 
 @dataclass
@@ -319,7 +317,7 @@ def kd_identity_case(case, rng):
         n, L = int(rng.integers(1, 6)), int(rng.integers(2, 4))
         t_lat, s_lat = rand_lattice(rng, n, L), rand_lattice(rng, n, L)
         table = chain_crf.pairwise_marginals(t_lat)
-        loss, _ = kd_loss_global(table, s_lat)
+        loss, _ = lattice_objective(s_lat, None, table, 1.0)
         e = _teacher_chain_enum(t_lat)
         return loss, oracle.cross_entropy(e, oracle.chain_log_probs(e, s_lat))
     if case == "3":
@@ -327,7 +325,7 @@ def kd_identity_case(case, rng):
         rows = softmax_last(rng.uniform(-2, 2, (n, L)))
         s_lat = rand_lattice(rng, n, L)
         table = pair_marginals_from_tokens(TokenDistributions(rows))
-        loss, _ = kd_loss_global(table, s_lat)
+        loss, _ = lattice_objective(s_lat, None, table, 1.0)
         e = _product_chain_enum(rows)
         return loss, oracle.cross_entropy(e, oracle.chain_log_probs(e, s_lat))
     if case == "2a":
@@ -335,7 +333,7 @@ def kd_identity_case(case, rng):
         t_lat = rand_lattice(rng, n, L)
         logits = rng.uniform(-2, 2, (n, L))
         table = TokenDistributions(chain_crf.pairwise_marginals(t_lat).unary)
-        loss, _ = kd_loss_local(table, logits)
+        loss, _ = rows_objective([(logits, None, table.rows)], 1.0)
         e = _teacher_chain_enum(t_lat)
         return loss, oracle.cross_entropy(
             e, oracle.rows_log_probs_chain(e, softmax_last(logits))
@@ -351,7 +349,7 @@ def kd_identity_case(case, rng):
         d = ArcDistributions(head_rows, softmax_last(t_rel))
         s_arc = rng.uniform(-2, 2, (n, n + 1)) + self_mask(n)
         s_rel = rng.uniform(-2, 2, (n, R))
-        loss, _ = kd_loss_local(d, (s_arc, s_rel))
+        loss, _ = rows_objective([(s_arc, None, d.head_rows), (s_rel, None, d.rel_rows)], 1.0)
         e = _heads_enum_from_rows(d)
         return loss, oracle.cross_entropy(
             e, oracle.heads_log_probs(e, softmax_last(s_arc), softmax_last(s_rel))
@@ -361,7 +359,7 @@ def kd_identity_case(case, rng):
         table = rand_span_table(rng, n, T)
         rows = span_ner.bioes_marginals(table)
         logits = rng.uniform(-2, 2, (n, 1 + 4 * T))
-        loss, _ = kd_loss_local(rows, logits)
+        loss, _ = rows_objective([(logits, None, rows.rows)], 1.0)
         e = oracle.enumerate_spans(table)
         return loss, oracle.cross_entropy(
             e, oracle.span_bioes_log_probs(e, softmax_last(logits), T)
@@ -435,7 +433,7 @@ def stationarity_checks(seed=0):
     # case 1a: teacher == student chain
     lat = rand_lattice(rng, 5, 3)
     table = chain_crf.pairwise_marginals(lat)
-    loss, g = kd_loss_global(table, lat)
+    loss, g = lattice_objective(lat, None, table, 1.0)
     gnorm = np.sqrt(
         (g.emissions**2).sum() + (g.transitions**2).sum() + (g.start**2).sum() + (g.stop**2).sum()
     )
@@ -445,7 +443,8 @@ def stationarity_checks(seed=0):
     arc = rng.uniform(-2, 2, (n, n + 1)) + self_mask(n)
     rel = rng.uniform(-2, 2, (n, R))
     d = ArcDistributions(softmax_last(arc), softmax_last(rel))
-    loss_h, (d_arc, d_rel) = kd_loss_local(d, (arc, rel))
+    sets = [(arc, None, d.head_rows), (rel, None, d.rel_rows)]
+    loss_h, (d_arc, d_rel) = rows_objective(sets, 1.0)
     gnorm_h = np.sqrt((d_arc**2).sum() + (d_rel**2).sum())
     e = _heads_enum_from_rows(d)
     ent_h = oracle.entropy(e)
@@ -465,10 +464,10 @@ def gibbs_check(seed=0, trials=50):
         t_lat = rand_lattice(rng, n, L)
         s_lat = rand_lattice(rng, n, L)
         table = chain_crf.pairwise_marginals(t_lat)
-        loss, _ = kd_loss_global(table, s_lat)
-        self_loss, _ = kd_loss_global(table, t_lat)
+        loss, _ = lattice_objective(s_lat, None, table, 1.0)
+        self_loss, _ = lattice_objective(t_lat, None, table, 1.0)
         worst = max(worst, self_loss - loss)  # cross-entropy >= entropy
-    return _check("kd_loss_global >= teacher entropy (Gibbs)", worst, STATIONARY_TOL)
+    return _check("chain KD loss >= teacher entropy (Gibbs)", worst, STATIONARY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,10 @@ def gibbs_check(seed=0, trials=50):
 def finite_diff(build_loss, params, rng, n_weights=50, eps=1e-5, tol=GRAD_TOL):
     """Worst relative error between analytic gradients and central
     differences over `n_weights` parameters with nonzero gradient, plus the
-    first such parameter of every array, so that no array goes unchecked."""
+    first such parameter of every array, plus one random direction per
+    array, so that no array goes unchecked and a gradient that is never
+    accumulated fails.  Directional derivatives that are both below
+    FLAT_DIRECTION count as exact (a bias the loss does not depend on)."""
     _, grads = build_loss()
     candidates, firsts = [], []
     for a, g in zip(params, grads):
@@ -500,13 +502,25 @@ def finite_diff(build_loss, params, rng, n_weights=50, eps=1e-5, tol=GRAD_TOL):
         fd = (up - down) / (2 * eps)
         an = g.ravel()[idx]
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-10))
+    directions = np.random.default_rng(0)  # leaves `rng` and so the picks above as they were
+    for arr, g in zip(params, grads):
+        v = directions.normal(size=arr.shape)
+        orig = arr.copy()
+        arr += eps * v
+        up, _ = build_loss()
+        arr[...] = orig - eps * v
+        down, _ = build_loss()
+        arr[...] = orig
+        fd, an = (up - down) / (2 * eps), float((g * v).sum())
+        if max(abs(fd), abs(an)) > FLAT_DIRECTION:
+            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an)))
     return worst
 
 
 def _rand_gold(model, n, rng):
-    if isinstance(model, (ChainCrfTagger, MaxEntTagger)):
+    if model.gold_type is TagSequence:
         return TagSequence(tuple(int(t) for t in rng.integers(len(model.tags), size=n)))
-    if isinstance(model, (FirstOrderParser, SecondOrderParser)):
+    if model.gold_type is HeadAssignment:
         heads = tuple(
             int(rng.choice(oracle.head_candidates(n, i))) for i in range(1, n + 1)
         )
@@ -542,7 +556,7 @@ def pipeline_fd(case, rng, lam=0.7, n_weights=50):
 
     def build_loss():
         grads = student.new_grads()
-        loss = sentence_step(student, prep, gold, table, lam, grads, 1.0)
+        loss = student.objective(prep, gold, table, lam, grads, 1.0)
         return loss, grads.values()
 
     return finite_diff(build_loss, student.params.values(), rng, n_weights=n_weights)
@@ -557,7 +571,7 @@ def suite_grad(seed=0, n_weights=50):
     gold = TagSequence(tuple(int(t) for t in rng.integers(3, size=5)))
 
     def chain_loss():
-        loss, g = chain_crf.nll_and_grad(lat, gold)
+        loss, g = lattice_objective(lat, gold, None, 0.0)
         return loss, [g.emissions, g.transitions, g.start, g.stop]
 
     params = [lat.emissions, lat.transitions, lat.start, lat.stop]
@@ -565,30 +579,29 @@ def suite_grad(seed=0, n_weights=50):
         _check("chain NLL lattice gradient", finite_diff(chain_loss, params, rng, n_weights), GRAD_TOL)
     )
 
-    # kd_loss_global at the lattice level
+    # the chain KD loss at the lattice level
     t_lat = rand_lattice(rng, 4, 3)
     table = chain_crf.pairwise_marginals(t_lat)
     s_lat = rand_lattice(rng, 4, 3)
 
     def kdg_loss():
-        loss, g = kd_loss_global(table, s_lat)
+        loss, g = lattice_objective(s_lat, None, table, 1.0)
         return loss, [g.emissions, g.transitions, g.start, g.stop]
 
     params = [s_lat.emissions, s_lat.transitions, s_lat.start, s_lat.stop]
     checks.append(
-        _check("kd_loss_global lattice gradient", finite_diff(kdg_loss, params, rng, n_weights), GRAD_TOL)
+        _check("chain KD loss lattice gradient", finite_diff(kdg_loss, params, rng, n_weights), GRAD_TOL)
     )
 
-    # kd_loss_local at the logits level
+    # the local KD loss at the logits level
     rows = TokenDistributions(softmax_last(rng.uniform(-2, 2, (4, 3))))
     logits = rng.uniform(-2, 2, (4, 3))
 
     def kdl_loss():
-        loss, d = kd_loss_local(rows, logits)
-        return loss, [d]
+        return rows_objective([(logits, None, rows.rows)], 1.0)
 
     checks.append(
-        _check("kd_loss_local logits gradient", finite_diff(kdl_loss, [logits], rng, n_weights), GRAD_TOL)
+        _check("local KD loss logits gradient", finite_diff(kdl_loss, [logits], rng, n_weights), GRAD_TOL)
     )
 
     # MaxEnt NLL through hashed features
@@ -599,7 +612,7 @@ def suite_grad(seed=0, n_weights=50):
 
     def maxent_loss():
         g = m.new_grads()
-        loss = m.nll_and_grad(prep, mgold, g)
+        loss = m.objective(prep, mgold, None, 0.0, g)
         return loss, g.values()
 
     checks.append(
@@ -618,7 +631,7 @@ def suite_grad(seed=0, n_weights=50):
 
     def span_loss():
         g = sp.new_grads()
-        loss = sp.nll_and_grad(sprep, sgold, g)
+        loss = sp.objective(sprep, sgold, None, 0.0, g)
         return loss, g.values()
 
     checks.append(
@@ -636,7 +649,7 @@ def suite_grad(seed=0, n_weights=50):
 
     def second_loss():
         g = p2.new_grads()
-        loss = p2.nll_and_grad(pprep, pgold, g)
+        loss = p2.objective(pprep, pgold, None, 0.0, g)
         return loss, g.values()
 
     checks.append(

@@ -175,7 +175,7 @@ def test_viterbi_matches_enumeration():
 
 
 def test_uniform_nll_is_n_log_l():
-    loss, _ = chain_crf.nll_and_grad(zeros_lattice(4, 3), TagSequence((0, 1, 2, 0)))
+    loss, _ = chain_crf.lattice_objective(zeros_lattice(4, 3), TagSequence((0, 1, 2, 0)), None, 0.0)
     assert loss == pytest.approx(4 * np.log(3), abs=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_peaked_model_nll_vanishes():
     gold = TagSequence((1, 0, 1))
     for i, t in enumerate(gold.tags):
         lat.emissions[i, t] = 60.0
-    loss, _ = chain_crf.nll_and_grad(lat, gold)
+    loss, _ = chain_crf.lattice_objective(lat, gold, None, 0.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     lat = rand_lattice(rng, 4, 3)
     gold = TagSequence((2, 0, 1, 1))
-    loss, g = chain_crf.nll_and_grad(lat, gold)
+    loss, g = chain_crf.lattice_objective(lat, gold, None, 0.0)
     eps = 1e-5
     for arr, garr in (
         (lat.emissions, g.emissions),
@@ -204,9 +204,9 @@ def test_nll_gradient_matches_finite_differences():
         for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up, _ = chain_crf.nll_and_grad(lat, gold)
+            up, _ = chain_crf.lattice_objective(lat, gold, None, 0.0)
             flat[idx] = orig - eps
-            down, _ = chain_crf.nll_and_grad(lat, gold)
+            down, _ = chain_crf.lattice_objective(lat, gold, None, 0.0)
             flat[idx] = orig
             fd = (up - down) / (2 * eps)
             assert abs(fd - garr.ravel()[idx]) <= 1e-4 * max(1.0, abs(fd))
@@ -214,9 +214,9 @@ def test_nll_gradient_matches_finite_differences():
 
 def test_invalid_gold_rejected():
     with pytest.raises(ValueError):
-        chain_crf.nll_and_grad(zeros_lattice(2, 2), TagSequence((0, 5)))
+        chain_crf.lattice_objective(zeros_lattice(2, 2), TagSequence((0, 5)), None, 0.0)
     with pytest.raises(ValueError):
-        chain_crf.nll_and_grad(zeros_lattice(2, 2), TagSequence((0,)))
+        chain_crf.lattice_objective(zeros_lattice(2, 2), TagSequence((0,)), None, 0.0)
 
 
 # ---------------------------------------------------------------------------

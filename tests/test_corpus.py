@@ -144,6 +144,24 @@ def test_read_conllu_skips_multiword_ranges():
     assert records[0].tokens == ["can", "not"]
 
 
+@pytest.mark.parametrize(
+    "rows, line_no",
+    [
+        # b is the root, a -> 3 and c -> 2; read by position, c's head
+        # would be "a" instead of "b"
+        ([(2, "b", 0), (1, "a", 3), (3, "c", 2)], 1),
+        ([(1, "a", 0), (1, "b", 1)], 2),
+        ([(1, "a", 0), (5, "b", 1)], 2),
+    ],
+    ids=["out of order", "duplicate", "gap"],
+)
+def test_read_conllu_rejects_ids_that_are_not_token_positions(rows, line_no):
+    data = "".join(f"{k}\t{w}\t_\t_\t_\t_\t{h}\tdep\t_\t_\n" for k, w, h in rows) + "\n"
+    with pytest.raises(ParseError, match="token ID") as err:
+        read_conllu(io.BytesIO(data.encode()))
+    assert err.value.line_no == line_no
+
+
 def test_read_conllu_bad_head_reports_line():
     data = b"1\tdog\t_\t_\t_\t_\tx\troot\t_\t_\n\n"
     with pytest.raises(ParseError) as err:

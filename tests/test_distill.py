@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 from factorkd import chain_crf, oracle, span_ner
-from factorkd.chain_crf import ChainLattice
+from factorkd.chain_crf import ChainLattice, lattice_objective
 from factorkd.corpus import HeadAssignment, SentenceRecord, TagSequence
 from factorkd.distill import (
     AnnealConfig,
     TemperatureConfig,
     apply_temperature,
     decode_from_marginals,
-    kd_loss_global,
-    kd_loss_local,
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
     temper_rows,
 )
 from factorkd.head_parser import ArcDistributions, self_mask
-from factorkd.numerics import softmax_last
+from factorkd.numerics import rows_objective, softmax_last
 from factorkd.token_maxent import TokenDistributions, pair_marginals_from_tokens
 from factorkd.verify import (
     kd_identity_case,
@@ -38,7 +36,7 @@ def test_kd_local_at_teacher_equals_entropy():
     rng = np.random.default_rng(0)
     logits = rng.uniform(-2, 2, (4, 3))
     rows = softmax_last(logits)
-    loss, grad = kd_loss_local(TokenDistributions(rows), logits)
+    loss, grad = rows_objective([(logits, None, TokenDistributions(rows).rows)], 1.0)
     entropy = -(rows * np.log(rows)).sum()
     assert loss == pytest.approx(entropy, abs=1e-12)
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -47,13 +45,14 @@ def test_kd_local_at_teacher_equals_entropy():
 def test_kd_local_uniform_is_n_log_l():
     n, L = 5, 4
     rows = np.full((n, L), 1 / L)
-    loss, _ = kd_loss_local(TokenDistributions(rows), np.zeros((n, L)))
+    loss, _ = rows_objective([(np.zeros((n, L)), None, TokenDistributions(rows).rows)], 1.0)
     assert loss == pytest.approx(n * np.log(L), abs=1e-12)
 
 
 def test_kd_local_shape_mismatch():
     with pytest.raises(ValueError):
-        kd_loss_local(TokenDistributions(np.full((2, 2), 0.5)), np.zeros((3, 2)))
+        rows = TokenDistributions(np.full((2, 2), 0.5)).rows
+        rows_objective([(np.zeros((3, 2)), None, rows)], 1.0)
 
 
 def test_kd_local_matches_enumerated_cross_entropy():
@@ -67,14 +66,14 @@ def test_kd_local_matches_enumerated_cross_entropy():
 def test_kd_global_uniform_single_position():
     lat = ChainLattice(np.zeros((1, 2)), np.zeros((0, 2, 2)), np.zeros(2), np.zeros(2))
     table = chain_crf.ChainMarginals(np.zeros((0, 2, 2)), np.array([[0.7, 0.3]]))
-    loss, _ = kd_loss_global(table, lat)
+    loss, _ = lattice_objective(lat, None, table, 1.0)
     assert loss == pytest.approx(LN2, abs=1e-12)
 
 
 def test_kd_global_self_distillation_stationary():
     lat = rand_lattice(np.random.default_rng(2), 5, 3)
     table = chain_crf.pairwise_marginals(lat)
-    loss, g = kd_loss_global(table, lat)
+    loss, g = lattice_objective(lat, None, table, 1.0)
     for arr in (g.emissions, g.transitions, g.start, g.stop):
         np.testing.assert_allclose(arr, 0.0, atol=1e-9)
     assert loss == pytest.approx(oracle.entropy(oracle.enumerate_chain(lat)), abs=1e-7)
@@ -94,8 +93,8 @@ def test_kd_global_gibbs_inequality():
         n, L = int(rng.integers(1, 6)), int(rng.integers(2, 4))
         t_lat, s_lat = rand_lattice(rng, n, L), rand_lattice(rng, n, L)
         table = chain_crf.pairwise_marginals(t_lat)
-        loss, _ = kd_loss_global(table, s_lat)
-        self_loss, _ = kd_loss_global(table, t_lat)
+        loss, _ = lattice_objective(s_lat, None, table, 1.0)
+        self_loss, _ = lattice_objective(t_lat, None, table, 1.0)
         assert loss >= self_loss - 1e-7
 
 
@@ -103,7 +102,7 @@ def test_kd_global_shape_mismatch():
     lat = rand_lattice(np.random.default_rng(5), 3, 2)
     table = chain_crf.pairwise_marginals(rand_lattice(np.random.default_rng(5), 4, 2))
     with pytest.raises(ValueError):
-        kd_loss_global(table, lat)
+        lattice_objective(lat, None, table, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_first_order_nll_gradient_fd():
     prep = m.prepare(TOKENS)
     gold = HeadAssignment((2, 0, 1, 3), (1, 0, 1, 0))
     grads = m.new_grads()
-    m.nll_and_grad(prep, gold, grads)
+    m.objective(prep, gold, None, 0.0, grads)
     _fd_check(m, prep, gold, grads, seed=0)
 
 
@@ -200,7 +200,7 @@ def test_second_order_nll_gradient_fd():
     prep = m.prepare(TOKENS)
     gold = HeadAssignment((2, 0, 1, 3), (1, 0, 1, 0))
     grads = m.new_grads()
-    m.nll_and_grad(prep, gold, grads)
+    m.objective(prep, gold, None, 0.0, grads)
     _fd_check(m, prep, gold, grads, seed=1, arrays="second")
 
 
@@ -215,9 +215,9 @@ def _fd_check(m, prep, gold, grads, seed, arrays="first"):
         for idx in rng.choice(idxs, size=min(12, idxs.size), replace=False):
             orig = params[idx]
             params[idx] = orig + eps
-            up = m.nll_and_grad(prep, gold, m.new_grads())
+            up = m.objective(prep, gold, None, 0.0, m.new_grads())
             params[idx] = orig - eps
-            down = m.nll_and_grad(prep, gold, m.new_grads())
+            down = m.objective(prep, gold, None, 0.0, m.new_grads())
             params[idx] = orig
             fd = (up - down) / (2 * eps)
             assert abs(fd - g[idx]) <= 1e-4 * max(1.0, abs(fd)), (fd, g[idx])

@@ -203,16 +203,16 @@ def test_model_nll_gradient_fd():
     prep = m.prepare(tokens)
     gold = SpanSet(frozenset({(1, 2, 0), (4, 4, 1)}))
     grads = m.new_grads()
-    m.nll_and_grad(prep, gold, grads)
+    m.objective(prep, gold, None, 0.0, grads)
     rng = np.random.default_rng(0)
     eps = 1e-5
     idxs = np.flatnonzero(np.abs(grads["weights"]) > 1e-12)
     for idx in rng.choice(idxs, size=min(20, idxs.size), replace=False):
         orig = m.params["weights"][idx]
         m.params["weights"][idx] = orig + eps
-        up = m.nll_and_grad(prep, gold, m.new_grads())
+        up = m.objective(prep, gold, None, 0.0, m.new_grads())
         m.params["weights"][idx] = orig - eps
-        down = m.nll_and_grad(prep, gold, m.new_grads())
+        down = m.objective(prep, gold, None, 0.0, m.new_grads())
         m.params["weights"][idx] = orig
         fd = (up - down) / (2 * eps)
         assert abs(fd - grads["weights"][idx]) <= 1e-4 * max(1.0, abs(fd))

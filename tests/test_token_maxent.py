@@ -56,7 +56,7 @@ def test_rows_shift_invariant():
 def test_uniform_nll():
     m = _model()
     grads = m.new_grads()
-    loss = m.nll_and_grad(m.prepare(TOKENS), TagSequence((0, 1, 2, 0)), grads)
+    loss = m.objective(m.prepare(TOKENS), TagSequence((0, 1, 2, 0)), None, 0.0, grads)
     assert loss == pytest.approx(4 * np.log(3), abs=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_peaked_nll_vanishes():
     prep = m.prepare(TOKENS)
     for i, t in enumerate(gold.tags):
         m.params["weights"][prep.slots[i, t][prep.vals[i] > 0]] += 20.0
-    loss = m.nll_and_grad(prep, gold, m.new_grads())
+    loss = m.objective(prep, gold, None, 0.0, m.new_grads())
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -75,16 +75,16 @@ def test_nll_gradient_finite_differences():
     prep = m.prepare(TOKENS)
     gold = TagSequence((2, 0, 1, 1))
     grads = m.new_grads()
-    loss = m.nll_and_grad(prep, gold, grads)
+    loss = m.objective(prep, gold, None, 0.0, grads)
     rng = np.random.default_rng(0)
     eps = 1e-5
     idxs = np.flatnonzero(np.abs(grads["weights"]) > 1e-12)
     for idx in rng.choice(idxs, size=min(25, idxs.size), replace=False):
         orig = m.params["weights"][idx]
         m.params["weights"][idx] = orig + eps
-        up = m.nll_and_grad(prep, gold, m.new_grads())
+        up = m.objective(prep, gold, None, 0.0, m.new_grads())
         m.params["weights"][idx] = orig - eps
-        down = m.nll_and_grad(prep, gold, m.new_grads())
+        down = m.objective(prep, gold, None, 0.0, m.new_grads())
         m.params["weights"][idx] = orig
         fd = (up - down) / (2 * eps)
         assert abs(fd - grads["weights"][idx]) <= 1e-4 * max(1.0, abs(fd))
@@ -93,7 +93,7 @@ def test_nll_gradient_finite_differences():
 def test_invalid_gold_rejected():
     m = _model(L=2)
     with pytest.raises(ValueError):
-        m.nll_and_grad(m.prepare(TOKENS), TagSequence((0, 1, 2, 0)), m.new_grads())
+        m.objective(m.prepare(TOKENS), TagSequence((0, 1, 2, 0)), None, 0.0, m.new_grads())
 
 
 def test_pair_marginals_uniform():

@@ -14,7 +14,8 @@ from factorkd.corpus import (
     SpanSet,
     TagSequence,
 )
-from factorkd.distill import TemperatureConfig, kd_loss_global, kd_loss_local, teacher_marginal_table
+from factorkd.distill import TemperatureConfig, teacher_marginal_table
+from factorkd.numerics import rows_objective
 from factorkd.train_eval import (
     DistillConfig,
     DivergedError,
@@ -23,7 +24,6 @@ from factorkd.train_eval import (
     entity_f1,
     evaluate,
     pseudo_label_records,
-    sentence_step,
     train,
     uas_las,
 )
@@ -121,9 +121,9 @@ def test_maxent_step_equals_mixed_losses():
     prep = student.prepare(tokens)
     gold = TagSequence(tuple(int(t) for t in rng.integers(3, size=5)))
     lam = 0.6
-    fused = sentence_step(student, prep, gold, table, lam, student.new_grads(), 1.0)
-    nll = student.nll_and_grad(prep, gold, student.new_grads())
-    kd, _ = kd_loss_local(table, student.logits(prep))
+    fused = student.objective(prep, gold, table, lam, student.new_grads(), 1.0)
+    nll = student.objective(prep, gold, None, 0.0, student.new_grads())
+    kd, _ = rows_objective([(student.logits(prep), None, table.rows)], 1.0)
     assert fused == pytest.approx(lam * kd + (1 - lam) * nll, abs=1e-12)
 
 
@@ -136,10 +136,10 @@ def test_crf_step_equals_mixed_losses():
     prep = student.prepare(tokens)
     gold = TagSequence(tuple(int(t) for t in rng.integers(3, size=4)))
     lam = 0.3
-    fused = sentence_step(student, prep, gold, table, lam, student.new_grads(), 1.0)
+    fused = student.objective(prep, gold, table, lam, student.new_grads(), 1.0)
     lat = student.lattice(prep)
-    nll, _ = chain_crf.nll_and_grad(lat, gold)
-    kd, _ = kd_loss_global(table, lat)
+    nll, _ = chain_crf.lattice_objective(lat, gold, None, 0.0)
+    kd, _ = chain_crf.lattice_objective(lat, None, table, 1.0)
     assert fused == pytest.approx(lam * kd + (1 - lam) * nll, abs=1e-12)
 
 
@@ -152,9 +152,15 @@ def test_parser_step_equals_mixed_losses():
     prep = student.prepare(tokens)
     gold = HeadAssignment((2, 0, 4, 0), (1, 0, 2, 1))
     lam = 0.8
-    fused = sentence_step(student, prep, gold, table, lam, student.new_grads(), 1.0)
-    nll = student.nll_and_grad(prep, gold, student.new_grads())
-    kd, _ = kd_loss_local(table, (student.arc_logits(prep), student.rel_logits(prep)))
+    fused = student.objective(prep, gold, table, lam, student.new_grads(), 1.0)
+    nll = student.objective(prep, gold, None, 0.0, student.new_grads())
+    kd, _ = rows_objective(
+        [
+            (student.arc_logits(prep), None, table.head_rows),
+            (student.rel_logits(prep), None, table.rel_rows),
+        ],
+        1.0,
+    )
     assert fused == pytest.approx(lam * kd + (1 - lam) * nll, abs=1e-12)
 
 
@@ -236,6 +242,32 @@ def test_crf_teacher_and_1a_student_artifacts_are_pinned(tmp_path):
     )
     got.update(_digests(tmp_path, student, manifest, "student"))
     assert got == CRF_DIGESTS
+
+
+# sha256 of a MaxEnt teacher and its case-3 CRF student (pair tables built
+# from the teacher's token rows, tempered locally at T = 2), as written when
+# the CRF's gold NLL and chain KD loss were separate functions
+CASE3_DIGESTS = {
+    "teacher": "2d21c154b43fc17c5c765ad5695c1187455eb12d83d068cda966110b31c9f733",
+    "teacher_manifest": "f0e20e30fe10df8bbe80045726fcc219016eb08c66736cdf5fd4e7056daec58e",
+    "student": "aa0b4f896b4683d6550a18df1e718dfc913cb33c7b936f8530af5b925f1d6912",
+    "student_manifest": "52090f7a75ee546710650302b208655caf973c3d2080f92108551c2592d8a667",
+}
+
+
+def test_maxent_teacher_and_case3_crf_student_are_pinned(tmp_path):
+    recs, tags = corpus.synth_generate("chain", 160, max_len=7, min_len=1, seed=7)
+    tr, dv = recs[:120], recs[120:]
+    teacher = models.new_model("ner-maxent", tags, bits=12)
+    teacher, manifest = train(teacher, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=3))
+    got = _digests(tmp_path, teacher, manifest, "teacher")
+    student = models.new_model("ner-crf", tags, bits=12)
+    student, manifest = train(
+        student, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=4),
+        distill_cfg=DistillConfig("3", temperature=2.0), teacher=teacher,
+    )
+    got.update(_digests(tmp_path, student, manifest, "student"))
+    assert got == CASE3_DIGESTS
 
 
 # sha256 of MaxEnt model files and manifests as written when every MaxEnt
@@ -355,7 +387,7 @@ def test_batched_maxent_step_equals_sentence_steps(seed, lengths, lam, bioes):
 
     want = student.new_grads()
     want_losses = [
-        sentence_step(student, student.prepare(sentences[i]), golds[i], tables[i], lam, want, coef)
+        student.objective(student.prepare(sentences[i]), golds[i], tables[i], lam, want, coef)
         for i in batch
     ]
 
@@ -363,7 +395,7 @@ def test_batched_maxent_step_equals_sentence_steps(seed, lengths, lam, bioes):
     got = student.new_grads()
     tags = np.array([t for g in golds for t in g.tags])
     q = np.concatenate([t.rows for t in tables])
-    got_losses = train_eval._step_maxent_batch(student, stacked, batch, tags, q, lam, got, coef)
+    got_losses = student.batch_objective(stacked, batch, tags, q, lam, got, coef)
 
     assert got_losses.tolist() == want_losses
     np.testing.assert_array_equal(got["weights"], want["weights"])
@@ -450,6 +482,56 @@ def test_gold_type_checked_against_family():
     parser = models.new_model("dep-1st", LabelAlphabet("deprel", ["root"]).freeze(), bits=10)
     with pytest.raises(ValueError):
         train(parser, tr, dv, TrainConfig(epochs=1))
+
+
+def _with_label(task, rec, label):
+    """rec's tokens with gold whose first label id is replaced by `label`."""
+    if task == "chain":
+        return SentenceRecord(rec.tokens, TagSequence((label,) + rec.gold.tags[1:]))
+    if task == "heads":
+        rels = (label,) + rec.gold.rels[1:]
+        return SentenceRecord(rec.tokens, HeadAssignment(rec.gold.heads, rels))
+    return SentenceRecord(rec.tokens, SpanSet(frozenset({(1, 1, label)})))
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+@pytest.mark.parametrize(
+    "family, task",
+    [("ner-maxent", "chain"), ("ner-crf", "chain"), ("dep-1st", "heads"), ("ner-span", "spans")],
+)
+def test_gold_label_id_outside_the_alphabet_is_rejected(family, task, past_end):
+    recs, alphabet = corpus.synth_generate(task, 6, max_len=5, min_len=2, seed=3)
+    label = len(alphabet) if past_end else -1
+    bad = _with_label(task, recs[2], label)
+    model = models.new_model(family, alphabet, bits=10)
+    message = f"record 2: gold label id {label} outside 0..{len(alphabet) - 1}"
+    with pytest.raises(ValueError, match=message):
+        train(model, recs[:2] + [bad] + recs[3:], [], TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("case", ["1a", "1b", "2a"])
+def test_teacher_tables_must_align_with_the_records(case):
+    kd = train_eval.CASES[case]
+    recs, alphabet = corpus.synth_generate(
+        "heads" if kd.table_kind == "arc" else "chain", 8, max_len=6, min_len=2, seed=4
+    )
+    teacher = models.new_model(kd.teacher_family, alphabet, bits=10)
+    temp = TemperatureConfig(1.0, "local")
+    tables = [teacher_marginal_table(case, teacher, r.tokens, temp) for r in recs]
+    other = next(k for k, r in enumerate(recs) if len(r) != len(recs[2]))
+
+    def run(tables):
+        student = models.new_model(kd.student_family, alphabet, bits=10)
+        return train(
+            student, recs, [], TrainConfig(epochs=1),
+            distill_cfg=DistillConfig(case), teacher=teacher, teacher_tables=tables,
+        )
+
+    with pytest.raises(ValueError, match="record 2: teacher table over"):
+        run(tables[:2] + [tables[other]] + tables[3:])
+    with pytest.raises(ValueError, match="7 teacher tables for 8 records"):
+        run(tables[:-1])
+    run(tables)
 
 
 def test_distill_requires_matching_student_family():
