@@ -29,7 +29,7 @@ from .distill import (
 )
 from .head_parser import ArcDistributions, FirstOrderParser, SecondOrderParser
 from .models import load_model, new_model, save_model
-from .span_ner import BioesMarginals, SpanNerModel, SpanScoreTable
+from .span_ner import SpanNerModel, SpanScoreTable
 from .token_maxent import MaxEntTagger, TokenDistributions
 from .train_eval import DistillConfig, TrainConfig, entity_f1, train, uas_las
 

@@ -58,14 +58,6 @@ class ChainLattice:
     def n_labels(self):
         return self.emissions.shape[1]
 
-    def scaled(self, scale: float) -> "ChainLattice":
-        return ChainLattice(
-            self.emissions * scale,
-            self.transitions * scale,
-            self.start * scale,
-            self.stop * scale,
-        )
-
 
 @dataclass
 class ChainMarginals:
@@ -371,17 +363,27 @@ class ChainCrfTagger(HashedModel):
             return f"stop {label(tags[-1])}"
         return None
 
-    def objective(self, prep: SlotBlock, gold, table, lam: float, out: dict, coef=1.0, chain=None):
+    def objective(self, prep: SlotBlock, gold, table, lam: float, out: dict, coef=1.0):
         """One sentence's `lattice_objective`; accumulates coef * gradient
-        into out and returns the loss.  `chain` may carry the sentence's
-        (lattice, marginals, log Z) from a batched `forward_backward`."""
-        lat, fb = (self.lattice(prep), None) if chain is None else (chain[0], chain[1:])
-        loss, g = lattice_objective(lat, gold, table, lam, fb)
-        prep.scatter(out["weights"], out["bias"], coef * g.emissions)
-        out["trans"] += coef * g.transitions.sum(axis=0)
-        out["start"] += coef * g.start
-        out["stop"] += coef * g.stop
-        return loss
+        into out and returns the loss."""
+        tables = None if table is None else [table]
+        return self.batch_objective([prep], [0], [gold], tables, lam, out, coef)[0]
+
+    def batch_objective(self, corpus, batch, golds, tables, lam: float, out: dict, coef=1.0):
+        """`lattice_objective` per sentence in batch order, after one batched
+        `forward_backward` over the mini-batch's lattices."""
+        lats = [self.lattice(corpus[i]) for i in batch]
+        log_z, margs = forward_backward(lats)
+        losses = []
+        for i, lat, marg, z in zip(batch, lats, margs, log_z):
+            table = None if tables is None else tables[i]
+            loss, g = lattice_objective(lat, golds[i], table, lam, (marg, z))
+            corpus[i].scatter(out["weights"], out["bias"], coef * g.emissions)
+            out["trans"] += coef * g.transitions.sum(axis=0)
+            out["start"] += coef * g.start
+            out["stop"] += coef * g.stop
+            losses.append(loss)
+        return losses
 
     def decode(self, prep: SlotBlock) -> TagSequence:
         return viterbi(self.lattice(prep))

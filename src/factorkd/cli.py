@@ -9,6 +9,7 @@ failures with 1, and a training run whose loss stops being finite with 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,6 +28,15 @@ DIVERGED_EXIT = 3
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _bad_settings():
+    """Report a setting that a config or model constructor rejects as a usage error."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise UsageError(str(e)) from None
 
 
 def _load_dataset(path, family, tag_alphabet=None, rel_alphabet=None):
@@ -53,19 +63,16 @@ def _records_to_spans(records, tag_alphabet):
 
 
 def _build_model_and_data(family, train_path, bits, constrain_bioes=False):
-    if family in DEP_FAMILIES:
-        records, rels = _load_dataset(train_path, family)
-        model = models.new_model(family, rels.freeze(), bits=bits)
-        return model, records, rels
-    records, tags = _load_dataset(train_path, family)
-    tags.freeze()
+    records, alphabet = _load_dataset(train_path, family)
+    labels, kwargs = alphabet.freeze(), {}
     if family == "ner-span":
-        records, codec = _records_to_spans(records, tags)
-        model = models.new_model(family, codec.types, bits=bits)
-        return model, records, tags
-    kwargs = {"constrain_bioes": constrain_bioes} if family == "ner-crf" else {}
-    model = models.new_model(family, tags, bits=bits, **kwargs)
-    return model, records, tags
+        records, codec = _records_to_spans(records, alphabet)
+        labels = codec.types
+    elif family == "ner-crf":
+        kwargs = {"constrain_bioes": constrain_bioes}
+    with _bad_settings():
+        model = models.new_model(family, labels, bits=bits, **kwargs)
+    return model, records, alphabet
 
 
 def _dev_records(model, path, tag_alphabet):
@@ -88,11 +95,12 @@ def _emit_manifest(manifest, out_path):
 
 
 def cmd_train(args):
+    with _bad_settings():
+        cfg = TrainConfig(args.epochs, args.lr, args.batch_size, args.seed)
     model, records, alphabet = _build_model_and_data(
         args.task, args.train, args.hash_bits, getattr(args, "constrain_bioes", False)
     )
     dev = _dev_records(model, args.dev, alphabet)
-    cfg = TrainConfig(args.epochs, args.lr, args.batch_size, args.seed)
     model, manifest = train(model, records, dev, cfg)
     models.save_model(model, args.out)
     _emit_manifest(manifest, args.out)
@@ -122,8 +130,14 @@ def cmd_distill(args):
     if resolved["case"] is None:
         raise UsageError("--case is required (flag or config file)")
     case_tag = str(resolved["case"])
-    if case_tag not in CASES:
-        raise UsageError(f"unknown case {case_tag!r}; pick one of {sorted(CASES)}")
+    with _bad_settings():
+        cfg = TrainConfig(args.epochs, args.lr, args.batch_size, int(resolved["seed"]))
+        dcfg = DistillConfig(
+            case_tag,
+            float(resolved["temperature"]),
+            str(resolved["temp_mode"]),
+            float(resolved["anneal_rate"]),
+        )
     case = CASES[case_tag]
 
     teacher = _load_model(args.teacher)
@@ -135,33 +149,20 @@ def cmd_distill(args):
 
     student_family = case.student_family
     if student_family in DEP_FAMILIES:
-        records, _ = _load_dataset(args.train, student_family, rel_alphabet=teacher.rels)
-        student = models.new_model(student_family, teacher.rels, bits=args.hash_bits)
-        dev = _dev_records(student, args.dev, None)
-        tag_alphabet = None
-    elif case_tag == "4":
-        # the BIOES student's alphabet comes from the span teacher's types
-        tag_alphabet = teacher.codec.tags
-        records, _ = _load_dataset(args.train, student_family, tag_alphabet=tag_alphabet)
-        student = models.new_model(student_family, tag_alphabet, bits=args.hash_bits)
-        dev = _dev_records(student, args.dev, tag_alphabet)
+        alphabet, tag_alphabet = teacher.rels, None
+        records, _ = _load_dataset(args.train, student_family, rel_alphabet=alphabet)
     else:
-        tag_alphabet = teacher.tags
+        # the case-4 BIOES student's alphabet comes from the span teacher's types
+        tag_alphabet = alphabet = teacher.codec.tags if case_tag == "4" else teacher.tags
         records, _ = _load_dataset(args.train, student_family, tag_alphabet=tag_alphabet)
-        student = models.new_model(student_family, tag_alphabet, bits=args.hash_bits)
-        dev = _dev_records(student, args.dev, tag_alphabet)
+    with _bad_settings():
+        student = models.new_model(student_family, alphabet, bits=args.hash_bits)
+    dev = _dev_records(student, args.dev, tag_alphabet)
 
     if resolved["unlabeled"]:
         unlabeled = _read_unlabeled(resolved["unlabeled"], student_family)
         records = records + train_eval.pseudo_label_records(teacher, unlabeled)
 
-    cfg = TrainConfig(args.epochs, args.lr, args.batch_size, int(resolved["seed"]))
-    dcfg = DistillConfig(
-        case_tag,
-        float(resolved["temperature"]),
-        str(resolved["temp_mode"]),
-        float(resolved["anneal_rate"]),
-    )
     student, manifest = train(student, records, dev, cfg, distill_cfg=dcfg, teacher=teacher)
     models.save_model(student, args.out)
     _emit_manifest(manifest, args.out)

@@ -16,17 +16,17 @@ dividing its log by T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 import numpy as np
 
 from . import chain_crf
-from .chain_crf import ChainCrfTagger, ChainMarginals
-from .corpus import PSEUDO_LABELED, SentenceRecord, TagSequence
-from .head_parser import ArcDistributions, FirstOrderParser, SecondOrderParser, decode_heads
+from .corpus import PSEUDO_LABELED, SentenceRecord, SpanSet
 from .numerics import log_softmax
-from .span_ner import BioesMarginals, SpanNerModel, bioes_marginals, decode_spans
-from .token_maxent import MaxEntTagger, TokenDistributions, pair_marginals_from_tokens
+from .span_ner import bioes_marginals
+from .token_maxent import TokenDistributions, pair_marginals_from_tokens
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,22 @@ class KdCase:
     teacher_family: str
     student_family: str
     table_kind: str  # chain | token | arc | bioes
-    normalization: str  # global | local (of the student)
 
 
 CASES = {
-    "1a": KdCase("1a", "ner-crf", "ner-crf", "chain", "global"),
-    "1b": KdCase("1b", "dep-1st", "dep-1st", "arc", "local"),
-    "2a": KdCase("2a", "ner-crf", "ner-maxent", "token", "local"),
-    "2b": KdCase("2b", "dep-2nd", "dep-1st", "arc", "local"),
-    "3": KdCase("3", "ner-maxent", "ner-crf", "chain", "global"),
-    "4": KdCase("4", "ner-span", "ner-maxent", "bioes", "local"),
+    "1a": KdCase("1a", "ner-crf", "ner-crf", "chain"),
+    "1b": KdCase("1b", "dep-1st", "dep-1st", "arc"),
+    "2a": KdCase("2a", "ner-crf", "ner-maxent", "token"),
+    "2b": KdCase("2b", "dep-2nd", "dep-1st", "arc"),
+    "3": KdCase("3", "ner-maxent", "ner-crf", "chain"),
+    "4": KdCase("4", "ner-span", "ner-maxent", "bioes"),
 }
+
+
+def check_positive(name: str, value):
+    """Raise ValueError unless value is a finite number above 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass
@@ -54,8 +59,7 @@ class TemperatureConfig:
     mode: str = "local"
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        check_positive("temperature", self.temperature)
         if self.mode not in ("local", "global"):
             raise ValueError(f"unknown temperature mode {self.mode!r}")
 
@@ -66,8 +70,9 @@ class AnnealConfig:
     total_steps: int = 1
 
     def __post_init__(self):
-        if self.rate <= 0 or self.total_steps < 1:
-            raise ValueError("anneal rate must be > 0 and total_steps >= 1")
+        check_positive("anneal rate", self.rate)
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
 
 
 def lambda_schedule(step: int, cfg: AnnealConfig) -> float:
@@ -93,108 +98,56 @@ def temper_rows(rows: np.ndarray, temperature: float) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def apply_temperature(table, temperature: float, mode: str = "local"):
-    """Temper an already-computed marginal table (local mode), or scale raw
-    scores for global mode when handed a lattice/score table."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if mode == "global":
-        if hasattr(table, "scaled"):
-            return table.scaled(1.0 / temperature)
-        raise ValueError("global temperature applies to raw scores, not marginal tables")
-    if mode != "local":
-        raise ValueError(f"unknown temperature mode {mode!r}")
-    if isinstance(table, ChainMarginals):
-        n, L = table.unary.shape
-        flat = table.pairwise.reshape(max(n - 1, 0), L * L)
-        return ChainMarginals(
-            temper_rows(flat, temperature).reshape(max(n - 1, 0), L, L),
-            temper_rows(table.unary, temperature),
-        )
-    if isinstance(table, TokenDistributions):
-        return TokenDistributions(temper_rows(table.rows, temperature))
-    if isinstance(table, BioesMarginals):
-        return BioesMarginals(temper_rows(table.rows, temperature))
-    if isinstance(table, ArcDistributions):
-        return ArcDistributions(
-            temper_rows(table.head_rows, temperature),
-            temper_rows(table.rel_rows, temperature),
-        )
-    raise TypeError(f"cannot temper {type(table).__name__}")
+def apply_temperature(table, temperature: float):
+    """Temper an already-computed marginal table: every array of it,
+    flattened past its first axis, is a stack of distributions, each
+    tempered by `temper_rows`."""
+    check_positive("temperature", temperature)
+    tempered = {}
+    for f in fields(table):
+        a = getattr(table, f.name)
+        rows = a.reshape(a.shape[0], math.prod(a.shape[1:]))
+        tempered[f.name] = temper_rows(rows, temperature).reshape(a.shape)
+    return replace(table, **tempered)
 
 
 # ---------------------------------------------------------------------------
 # Teacher marginal extraction
 
 
-def _check_family(case: KdCase, teacher):
-    if teacher.family != case.teacher_family:
-        raise ValueError(
-            f"case {case.tag} expects a {case.teacher_family} teacher, got {teacher.family}"
-        )
-
-
 def teacher_marginal_table(case, teacher, tokens, temp: TemperatureConfig):
     """Marginals of the teacher over the student substructure space for one
     sentence, with temperature already applied."""
     case = CASES[case] if isinstance(case, str) else case
-    _check_family(case, teacher)
-    t = temp.temperature
-    scale = 1.0 / t if temp.mode == "global" else 1.0
+    if teacher.family != case.teacher_family:
+        raise ValueError(
+            f"case {case.tag} expects a {case.teacher_family} teacher, got {teacher.family}"
+        )
+    scale = 1.0 / temp.temperature if temp.mode == "global" else 1.0
     prep = teacher.prepare(tokens)
-
     if case.tag in ("1a", "2a"):
-        marg = chain_crf.pairwise_marginals(teacher.lattice(prep, scale))
+        table = chain_crf.pairwise_marginals(teacher.lattice(prep, scale))
         if case.tag == "2a":
-            rows = TokenDistributions(marg.unary)
-            return apply_temperature(rows, t) if temp.mode == "local" else rows
-        return apply_temperature(marg, t) if temp.mode == "local" else marg
-
-    if case.tag == "3":
-        rows = teacher.token_distributions(prep, scale)
-        table = pair_marginals_from_tokens(rows)
-        return apply_temperature(table, t) if temp.mode == "local" else table
-
-    if case.tag in ("1b", "2b"):
-        dist = teacher.distributions(prep, scale)
-        return apply_temperature(dist, t) if temp.mode == "local" else dist
-
-    if case.tag == "4":
+            table = TokenDistributions(table.unary)
+    elif case.tag == "3":
+        table = pair_marginals_from_tokens(teacher.token_distributions(prep, scale))
+    elif case.tag in ("1b", "2b"):
+        table = teacher.distributions(prep, scale)
+    elif case.tag == "4":
         table = bioes_marginals(teacher.score_table(prep, scale))
-        return apply_temperature(table, t) if temp.mode == "local" else table
-
-    raise ValueError(f"unknown case {case.tag}")
+    else:
+        raise ValueError(f"unknown case {case.tag}")
+    return apply_temperature(table, temp.temperature) if temp.mode == "local" else table
 
 
 # ---------------------------------------------------------------------------
-# Decoding helpers
-
-
-def decode_from_marginals(table):
-    """Per-site argmax of a marginal table (ties toward the lowest id);
-    used for teacher-quality analysis, not for training."""
-    if isinstance(table, ChainMarginals):
-        return TagSequence(tuple(int(t) for t in np.argmax(table.unary, axis=1)))
-    if isinstance(table, (TokenDistributions, BioesMarginals)):
-        return TagSequence(tuple(int(t) for t in np.argmax(table.rows, axis=1)))
-    if isinstance(table, ArcDistributions):
-        return decode_heads(table)
-    raise TypeError(f"cannot decode {type(table).__name__}")
+# Pseudo-labeling
 
 
 def pseudo_label(teacher, sentence) -> SentenceRecord:
     """Teacher's Top-1 decode of a sentence, packaged as pseudo gold."""
     tokens = sentence.tokens if isinstance(sentence, SentenceRecord) else list(sentence)
-    prep = teacher.prepare(tokens)
-    if isinstance(teacher, ChainCrfTagger):
-        gold = chain_crf.viterbi(teacher.lattice(prep))
-    elif isinstance(teacher, MaxEntTagger):
-        gold = teacher.decode(prep)
-    elif isinstance(teacher, (FirstOrderParser, SecondOrderParser)):
-        gold = decode_heads(teacher.distributions(prep))
-    elif isinstance(teacher, SpanNerModel):
-        spans = decode_spans(teacher.score_table(prep))
-        gold = teacher.codec.spans_to_bioes(spans, len(tokens))
-    else:
-        raise TypeError(f"cannot pseudo-label with {type(teacher).__name__}")
+    gold = teacher.decode(teacher.prepare(tokens))
+    if isinstance(gold, SpanSet):
+        gold = teacher.codec.spans_to_bioes(gold, len(tokens))
     return SentenceRecord(list(tokens), gold, provenance=PSEUDO_LABELED)

@@ -328,12 +328,35 @@ class HashedModel:
     base64 block per array plus a header: the hash width, the alphabet in
     the attribute named `alphabet_key`, and the constructor arguments named
     in `options`.  `gold_type` is the class of the family's gold structures.
+    A corpus is trained and decoded through `prepare_corpus`,
+    `batch_objective` and `decode_corpus`: by default a list of per-sentence
+    `prepare`s, `objective`s and `decode`s, overridden by a family that
+    batches its work (and whose `stack` makes its corpus from `prepare`s).
     """
 
     family: str
     alphabet_key: str
     gold_type: type
     options: tuple = ()
+
+    def prepare_corpus(self, token_lists):
+        return [self.prepare(tokens) for tokens in token_lists]
+
+    def stack(self, preps):
+        return preps
+
+    def batch_objective(self, corpus, batch, golds, tables, lam: float, out: dict, coef=1.0):
+        """The mini-batch `batch` (indices into the corpus) of the objective:
+        `objective` per sentence in batch order, with golds[i] and tables[i]
+        (or no table when `tables` is None).  Accumulates coef * gradient
+        into out and returns the per-sentence losses in batch order."""
+        return [
+            self.objective(corpus[i], golds[i], None if tables is None else tables[i], lam, out, coef)
+            for i in batch
+        ]
+
+    def decode_corpus(self, corpus) -> list:
+        return [self.decode(prep) for prep in corpus]
 
     def forbidden_part(self, gold):
         """The first part of a gold structure that the model's constraints

@@ -30,6 +30,7 @@ from .scorer import (
     build_slot_block,
     featurize_span,
 )
+from .token_maxent import TokenDistributions
 
 
 @dataclass
@@ -46,21 +47,6 @@ class SpanScoreTable:
     @property
     def n_types(self):
         return self.scores.shape[2]
-
-    def scaled(self, scale: float) -> "SpanScoreTable":
-        return SpanScoreTable(self.scores * scale)
-
-
-@dataclass
-class BioesMarginals:
-    """Rows over the BIOES alphabet laid out as O, then B/I/E/S per type
-    (matching :class:`~factorkd.corpus.BioesCodec` tag ids)."""
-
-    rows: np.ndarray  # (n, 1 + 4T)
-
-    @property
-    def n(self):
-        return self.rows.shape[0]
 
 
 def suffix_log_partitions(t: SpanScoreTable) -> np.ndarray:
@@ -105,8 +91,10 @@ def span_marginals(t: SpanScoreTable) -> np.ndarray:
     return out
 
 
-def bioes_marginals(t: SpanScoreTable) -> BioesMarginals:
-    """Per-position distribution over BIOES tags implied by the span model."""
+def bioes_marginals(t: SpanScoreTable) -> TokenDistributions:
+    """Per-position distribution over BIOES tags implied by the span model:
+    token rows laid out as O, then B/I/E/S per type (matching
+    :class:`~factorkd.corpus.BioesCodec` tag ids)."""
     n, _, T = t.scores.shape
     log_b = prefix_log_partitions(t)
     log_f = suffix_log_partitions(t)
@@ -132,7 +120,7 @@ def bioes_marginals(t: SpanScoreTable) -> BioesMarginals:
                 rows[i, col + 2] = np.exp(e - log_z)
             # S: the single-token span
             rows[i, col + 3] = np.exp(log_b[i] + t.scores[i, i, l] + log_f[i + 1] - log_z)
-    return BioesMarginals(rows)
+    return TokenDistributions(rows)
 
 
 def decode_spans(t: SpanScoreTable) -> SpanSet:

@@ -67,7 +67,10 @@ class MaxEntTagger(HashedModel):
         return stack_features(self.hasher, fvec_lists, len(self.tags))
 
     def stack(self, blocks) -> StackedBlock:
-        """One StackedBlock for per-sentence blocks made by `prepare`."""
+        """One StackedBlock for per-sentence blocks made by `prepare`; a
+        StackedBlock comes back as it is."""
+        if isinstance(blocks, StackedBlock):
+            return blocks
         return stack_slot_blocks(blocks, self.hasher.label_salts(len(self.tags)))
 
     def logits(self, prep: SlotBlock, scale: float = 1.0) -> np.ndarray:
@@ -85,19 +88,20 @@ class MaxEntTagger(HashedModel):
         prep.scatter(out["weights"], out["bias"], coef * d)
         return loss
 
-    def batch_objective(self, corpus: StackedBlock, sentences, tags, q, lam, out, coef=1.0):
+    def batch_objective(self, corpus: StackedBlock, batch, golds, tables, lam, out, coef=1.0):
         """`objective` for a whole mini-batch of a stacked corpus: one score,
-        softmax and scatter over the sentences' sites.  `tags` and `q` are the
-        gold tags and teacher rows (or None) of every site of the corpus.
-        Returns the per-sentence losses in batch order, each bit-identical to
-        `objective`'s, and leaves the same gradient in `out`."""
-        rows = corpus.rows(sentences)
-        runs = Runs(corpus.offsets[sentences + 1] - corpus.offsets[sentences])
+        softmax and scatter over the sentences' sites, with the gold tags and
+        teacher rows (if `tables` is not None) of those sites gathered in the
+        same order.  Returns the per-sentence losses in batch order, each
+        bit-identical to `objective`'s, and leaves the same gradient in `out`."""
+        rows = corpus.rows(batch)
+        runs = Runs(corpus.offsets[batch + 1] - corpus.offsets[batch])
         logits = corpus.scores(self.params["weights"], self.params["bias"], rows)
-        qb = None if q is None else q[rows]
-        loss, (d,) = rows_objective([(logits, tags[rows], qb)], lam, runs)
+        tags = np.array([t for i in batch for t in golds[i].tags], dtype=np.int64)
+        q = None if tables is None else np.concatenate([tables[i].rows for i in batch])
+        loss, (d,) = rows_objective([(logits, tags, q)], lam, runs)
         corpus.scatter(out["weights"], out["bias"], coef * d, rows, runs)
-        return loss
+        return loss.tolist()
 
     def decode(self, prep: SlotBlock) -> TagSequence:
         return TagSequence(tuple(int(t) for t in np.argmax(self.logits(prep), axis=1)))

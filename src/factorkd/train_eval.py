@@ -4,19 +4,18 @@ Models start from zero parameters, so a run is fully determined by its
 seed (which only drives sentence shuffling) and config.  When distilling,
 each sentence contributes lambda * KD + (1 - lambda) * target, with lambda
 annealed per optimizer step; both parts share one forward pass, in each
-family's `objective`.  A MaxEnt corpus is stacked once into a StackedBlock,
-and each mini-batch of it is one gather, softmax and scatter over all its
-sites.
+family's objective.  The trainer knows no family: a model prepares its own
+corpus (`prepare_corpus`), takes one `batch_objective` call per mini-batch
+and decodes a whole corpus (`decode_corpus`), batching the work as it sees
+fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import chain_crf
-from .chain_crf import ChainCrfTagger
 from .corpus import (
     HeadAssignment,
     SpanSet,
@@ -28,12 +27,11 @@ from .distill import (
     AnnealConfig,
     TemperatureConfig,
     apply_temperature,
+    check_positive,
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
 )
-from .scorer import StackedBlock
-from .token_maxent import MaxEntTagger
 
 FIXED_SEEDS = (1, 2, 3, 4, 5)
 TEMPERATURE_GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -109,6 +107,13 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        check_positive("learning rate", self.lr)
+
 
 @dataclass
 class DistillConfig:
@@ -116,6 +121,12 @@ class DistillConfig:
     temperature: float = 1.0
     temp_mode: str = "local"
     anneal_rate: float = 1.0
+
+    def __post_init__(self):
+        if self.case not in CASES:
+            raise ValueError(f"unknown case {self.case!r}; pick one of {sorted(CASES)}")
+        self.temp()  # the temperature configs check their own values
+        AnnealConfig(self.anneal_rate)
 
     def temp(self) -> TemperatureConfig:
         return TemperatureConfig(self.temperature, self.temp_mode)
@@ -181,19 +192,15 @@ def _check_gold(model, rec, index, table=None):
 
 
 def prepare_records(model, records):
-    """Features of a corpus as `train` and `evaluate` consume them: one
-    StackedBlock for a MaxEnt model, a list of per-sentence preps otherwise."""
-    if isinstance(model, MaxEntTagger):
-        return model.prepare_corpus([r.tokens for r in records])
-    return [model.prepare(r.tokens) for r in records]
+    """Features of a corpus as `train` and `evaluate` consume them: the
+    model's `prepare_corpus` of the records' tokens."""
+    return model.prepare_corpus([r.tokens for r in records])
 
 
 def _prepared(model, records, prepared):
-    if prepared is None:
-        return prepare_records(model, records)
-    if isinstance(model, MaxEntTagger) and not isinstance(prepared, StackedBlock):
-        return model.stack(prepared)  # per-sentence SlotBlocks
-    return prepared
+    """A prepared corpus, made here when None; per-sentence preps from
+    `prepare` become the model's corpus through its `stack`."""
+    return prepare_records(model, records) if prepared is None else model.stack(prepared)
 
 
 def _bioes_spans(model, codec, seqs):
@@ -218,16 +225,13 @@ def evaluate(model, records, prepared=None, gold=None):
     """(primary metric, metric dict) for a model on gold-bearing records.
 
     `prepared` (from `prepare_records`, or per-sentence preps) and `gold`
-    (from `metric_gold`) may be passed to share that work across calls.  A
-    MaxEnt model decodes the whole corpus in one pass.
+    (from `metric_gold`) may be passed to share that work across calls.
+    The model decodes the whole corpus with one `decode_corpus` call.
     """
     prepared = _prepared(model, records, prepared)
     if gold is None:
         gold = metric_gold(model, records)
-    if isinstance(model, MaxEntTagger):
-        preds = model.decode_corpus(prepared)
-    else:
-        preds = [model.decode(p) for p in prepared]
+    preds = model.decode_corpus(prepared)
     if model.gold_type is TagSequence:
         codec = bioes_codec_from_tags(model.tags)
         if len(codec.types) == 0:
@@ -272,11 +276,11 @@ def train(
     Returns (model, manifest); the model carries the best checkpoint's
     parameters, or the last epoch's when there are no dev records.
     `prepared`/`dev_prepared` (from `prepare_records`, or per-sentence
-    preps) and `teacher_tables` may be passed to share work across runs
-    (they must align with the records).  A MaxEnt mini-batch is one batched
-    step over its sites; a CRF mini-batch runs one batched forward-backward
-    that the per-sentence objectives consume in batch order.  Raises
-    DivergedError (a ValueError) if an epoch's training loss is not finite.
+    preps) and, when distilling, `teacher_tables` may be passed to share
+    work across runs (they must align with the records).  Each mini-batch
+    is one `model.batch_objective` call, whose per-sentence losses are
+    summed in batch order.  Raises DivergedError (a ValueError) if an
+    epoch's training loss is not finite.
     """
     if not train_records:
         raise ValueError("training set is empty")
@@ -288,6 +292,8 @@ def train(
             raise ValueError(
                 f"case {case.tag} expects a {case.student_family} student, got {model.family}"
             )
+    if teacher_tables is not None and distill_cfg is None:
+        raise ValueError("teacher tables are only used when distilling")
     if teacher_tables is not None and len(teacher_tables) != len(train_records):
         raise ValueError(f"{len(teacher_tables)} teacher tables for {len(train_records)} records")
     for index, rec in enumerate(train_records):
@@ -301,12 +307,7 @@ def train(
             teacher_marginal_table(distill_cfg.case, teacher, r.tokens, temp)
             for r in train_records
         ]
-    maxent = isinstance(model, MaxEntTagger)
-    if maxent:
-        site_tags = np.array([t for r in train_records for t in r.gold.tags], dtype=np.int64)
-        site_q = None
-        if teacher_tables is not None:
-            site_q = np.concatenate([q.rows for q in teacher_tables])
+    golds = [r.gold for r in train_records]
 
     n = len(train_records)
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -322,14 +323,7 @@ def train(
             "epochs": cfg.epochs,
             "lr": cfg.lr,
             "batch_size": cfg.batch_size,
-            "distill": None
-            if distill_cfg is None
-            else {
-                "case": distill_cfg.case,
-                "temperature": distill_cfg.temperature,
-                "temp_mode": distill_cfg.temp_mode,
-                "anneal_rate": distill_cfg.anneal_rate,
-            },
+            "distill": None if distill_cfg is None else asdict(distill_cfg),
         },
         seed=cfg.seed,
     )
@@ -343,7 +337,6 @@ def train(
     grads = model.new_grads()
     order = np.arange(n)
     step = 0
-    is_crf = isinstance(model, ChainCrfTagger)
     for epoch in range(1, cfg.epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
@@ -352,24 +345,11 @@ def train(
             lam = lambda_schedule(step, anneal) if anneal is not None else 0.0
             for g in grads.values():
                 g.fill(0.0)
-            coef = 1.0 / len(batch)
-            if maxent:
-                losses = model.batch_objective(
-                    prepared, batch, site_tags, site_q, lam, grads, coef
-                )
-                for loss in losses.tolist():  # in batch order, as the per-sentence sum
-                    epoch_loss += loss
-            else:
-                extras = [{}] * len(batch)
-                if is_crf:
-                    lats = [model.lattice(prepared[i]) for i in batch]
-                    log_z, margs = chain_crf.forward_backward(lats)
-                    extras = [{"chain": chain} for chain in zip(lats, margs, log_z)]
-                for i, extra in zip(batch, extras):
-                    table = teacher_tables[i] if teacher_tables is not None else None
-                    epoch_loss += model.objective(
-                        prepared[i], train_records[i].gold, table, lam, grads, coef, **extra
-                    )
+            losses = model.batch_objective(
+                prepared, batch, golds, teacher_tables, lam, grads, 1.0 / len(batch)
+            )
+            for loss in losses:  # in batch order, as the per-sentence sum
+                epoch_loss += loss
             model.sgd_step(grads, cfg.lr)
             step += 1
         if not np.isfinite(epoch_loss):
@@ -407,12 +387,7 @@ class GridResult:
     best: dict
 
     def best_config(self) -> DistillConfig:
-        return DistillConfig(
-            case=self.best["case"],
-            temperature=self.best["temperature"],
-            temp_mode=self.best["temp_mode"],
-            anneal_rate=self.best["anneal_rate"],
-        )
+        return DistillConfig(**{f.name: self.best[f.name] for f in fields(DistillConfig)})
 
 
 def distill_grid_search(

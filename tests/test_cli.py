@@ -170,6 +170,42 @@ def test_missing_file_is_usage_error(ner_files, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("distill", ["--temperature", "0"], None),
+        ("distill", ["--anneal-rate", "0"], None),
+        ("distill", [], {"temp_mode": "sideways"}),
+        ("distill", [], {"temperature": "hot"}),
+        ("distill", ["--batch-size", "0"], None),
+        ("train-teacher", ["--batch-size", "0"], None),
+        ("train-teacher", ["--epochs", "-1"], None),
+        ("train-teacher", ["--lr", "-0.1"], None),
+        ("train-teacher", ["--hash-bits", "40"], None),
+    ],
+    ids=[
+        "temperature-0", "anneal-rate-0", "config-mode", "config-temperature",
+        "distill-batch-size-0", "batch-size-0", "epochs-negative", "lr-negative", "hash-bits-40",
+    ],
+)
+def test_bad_settings_are_usage_errors_before_any_file_is_written(
+    ner_files, tmp_path, capsys, command, flags, config
+):
+    argv = [command, "--train", ner_files["train"], "--dev", ner_files["dev"]]
+    if command == "distill":
+        argv += ["--case", "2a", "--teacher", _train_teacher(ner_files)]
+    else:
+        argv += ["--task", "ner-crf"]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--hash-bits", "12", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("model.json*"))
+
+
 def test_unknown_flag_exits_two(ner_files):
     with pytest.raises(SystemExit) as e:
         main(["eval", "--nope"])

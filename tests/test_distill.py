@@ -3,18 +3,16 @@ import pytest
 
 from factorkd import chain_crf, oracle, span_ner
 from factorkd.chain_crf import ChainLattice, lattice_objective
-from factorkd.corpus import HeadAssignment, SentenceRecord, TagSequence
+from factorkd.corpus import SentenceRecord, TagSequence
 from factorkd.distill import (
     AnnealConfig,
     TemperatureConfig,
     apply_temperature,
-    decode_from_marginals,
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
     temper_rows,
 )
-from factorkd.head_parser import ArcDistributions, self_mask
 from factorkd.numerics import rows_objective, softmax_last
 from factorkd.token_maxent import TokenDistributions, pair_marginals_from_tokens
 from factorkd.verify import (
@@ -151,7 +149,7 @@ def test_local_temperature_preserves_argmax():
 def test_local_temperature_keeps_exact_zeros():
     table = rand_span_table(np.random.default_rng(7), 4, 2)
     rows = span_ner.bioes_marginals(table)
-    hot = apply_temperature(rows, 3.0, "local")
+    hot = apply_temperature(rows, 3.0)
     assert (rows.rows == 0.0).sum() > 0
     np.testing.assert_array_equal(hot.rows == 0.0, rows.rows == 0.0)
 
@@ -182,11 +180,7 @@ def test_temper_rows_of_an_empty_block_is_unchanged():
 def test_apply_temperature_validation():
     rows = TokenDistributions(np.full((2, 2), 0.5))
     with pytest.raises(ValueError):
-        apply_temperature(rows, -1.0, "local")
-    with pytest.raises(ValueError):
-        apply_temperature(rows, 2.0, "sideways")
-    with pytest.raises(ValueError):
-        apply_temperature(rows, 2.0, "global")  # marginal tables have no raw scores
+        apply_temperature(rows, -1.0)
 
 
 def test_temperature_config_validation():
@@ -272,36 +266,6 @@ def test_lambda_clamped():
         lambda_schedule(-1, AnnealConfig(1.0, 100))
     with pytest.raises(ValueError):
         AnnealConfig(0.0, 100)
-
-
-# ---------------------------------------------------------------------------
-# Decoding helpers
-
-
-def test_decode_from_marginals_one_hot():
-    rows = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert decode_from_marginals(TokenDistributions(rows)).tags == (1, 0)
-
-
-def test_decode_from_marginals_tie_rule():
-    rows = np.full((3, 4), 0.25)
-    assert decode_from_marginals(TokenDistributions(rows)).tags == (0, 0, 0)
-
-
-def test_decode_from_marginals_matches_argmax():
-    rng = np.random.default_rng(10)
-    rows = softmax_last(rng.uniform(-2, 2, (5, 3)))
-    got = decode_from_marginals(TokenDistributions(rows))
-    assert got.tags == tuple(int(t) for t in rows.argmax(axis=1))
-
-
-def test_decode_from_arc_marginals():
-    d = ArcDistributions(
-        softmax_last(np.random.default_rng(11).uniform(-2, 2, (3, 4)) + self_mask(3)),
-        softmax_last(np.random.default_rng(12).uniform(-2, 2, (3, 2))),
-    )
-    got = decode_from_marginals(d)
-    assert isinstance(got, HeadAssignment)
 
 
 # ---------------------------------------------------------------------------

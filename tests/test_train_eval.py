@@ -27,7 +27,7 @@ from factorkd.train_eval import (
     train,
     uas_las,
 )
-from factorkd.verify import rand_model, rand_tokens
+from factorkd.verify import _rand_gold, rand_model, rand_tokens
 
 
 def _codec():
@@ -270,6 +270,33 @@ def test_maxent_teacher_and_case3_crf_student_are_pinned(tmp_path):
     assert got == CASE3_DIGESTS
 
 
+def test_per_sentence_preps_train_to_the_pinned_artifacts(tmp_path):
+    """Preps made sentence by sentence with `prepare` and passed as
+    `prepared=`/`dev_prepared=` give the same bytes as the model's own
+    prepared corpus, for a MaxEnt and a CRF model."""
+    recs, tags = corpus.synth_generate("chain", 160, max_len=7, min_len=1, seed=7)
+    tr, dv = recs[:120], recs[120:]
+
+    def preps(model):
+        return {
+            "prepared": [model.prepare(r.tokens) for r in tr],
+            "dev_prepared": [model.prepare(r.tokens) for r in dv],
+        }
+
+    teacher = models.new_model("ner-maxent", tags, bits=12)
+    teacher, manifest = train(
+        teacher, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=3), **preps(teacher)
+    )
+    got = _digests(tmp_path, teacher, manifest, "teacher")
+    student = models.new_model("ner-crf", tags, bits=12)
+    student, manifest = train(
+        student, tr, dv, TrainConfig(epochs=3, lr=0.2, batch_size=16, seed=4),
+        distill_cfg=DistillConfig("3", temperature=2.0), teacher=teacher, **preps(student),
+    )
+    got.update(_digests(tmp_path, student, manifest, "student"))
+    assert got == CASE3_DIGESTS
+
+
 # sha256 of MaxEnt model files and manifests as written when every MaxEnt
 # sentence was its own step and every dev sentence its own decode; the
 # stacked corpus and the batched step must not move a single bit
@@ -358,54 +385,72 @@ def _mixed_sentences(rng, lengths):
             for n in lengths]
 
 
+# (student family, its labels, teacher family, teacher labels, case); the
+# span model and the second-order parser are teacher families, trained on
+# gold alone
+_BATCH_SETUPS = [
+    ("ner-maxent", 3, "ner-crf", 3, "2a"),
+    ("ner-maxent", 5, "ner-span", 1, "4"),  # BIOES rows over one entity type
+    ("ner-crf", 3, "ner-crf", 3, "1a"),
+    ("ner-crf", 3, "ner-maxent", 3, "3"),
+    ("dep-1st", 2, "dep-1st", 2, "1b"),
+    ("dep-1st", 2, "dep-2nd", 2, "2b"),
+    ("ner-span", 2, None, None, None),
+    ("dep-2nd", 2, None, None, None),
+]
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     lengths=st.lists(st.integers(1, 8), min_size=1, max_size=10),
     lam=st.sampled_from([0.0, 0.3, 1.0]),
-    bioes=st.booleans(),
+    setup=st.sampled_from(_BATCH_SETUPS),
 )
-@example(seed=0, lengths=[1, 1, 1], lam=0.3, bioes=False)
-@example(seed=1, lengths=[8, 1, 5, 8, 2], lam=1.0, bioes=True)
-@settings(max_examples=40, deadline=None)
-def test_batched_maxent_step_equals_sentence_steps(seed, lengths, lam, bioes):
-    """One batched step leaves exactly the gradient, bias and losses of the
-    per-sentence steps run in batch order."""
+@example(seed=0, lengths=[1, 1, 1], lam=0.3, setup=_BATCH_SETUPS[0])
+@example(seed=1, lengths=[8, 1, 5, 8, 2], lam=1.0, setup=_BATCH_SETUPS[1])
+@example(seed=2, lengths=[1, 4, 1, 7], lam=0.3, setup=_BATCH_SETUPS[2])
+@settings(max_examples=80, deadline=None)
+def test_batched_maxent_step_equals_sentence_steps(seed, lengths, lam, setup):
+    """For every family, one `batch_objective` call over its prepared corpus
+    leaves exactly the gradient arrays and losses of the per-sentence
+    `objective`s run in batch order, and `decode_corpus` gives the
+    per-sentence decodes; a MaxEnt corpus is also the stack of its
+    per-sentence blocks."""
+    family, n_labels, teacher_family, teacher_labels, case = setup
     rng = np.random.default_rng(seed)
-    if bioes:  # case 4: BIOES rows of a span teacher over one entity type
-        teacher, case = rand_model("ner-span", rng, n_labels=1, bits=10), "4"
-        student = rand_model("ner-maxent", rng, n_labels=5, bits=10)
-    else:  # case 2a: token rows of a chain teacher
-        teacher, case = rand_model("ner-crf", rng, n_labels=3, bits=10), "2a"
-        student = rand_model("ner-maxent", rng, n_labels=3, bits=10)
-    L = len(student.tags)
+    student = rand_model(family, rng, n_labels=n_labels, bits=10)
     sentences = _mixed_sentences(rng, lengths)
-    temp = TemperatureConfig(2.0, "local")
-    tables = [teacher_marginal_table(case, teacher, t, temp) for t in sentences]
-    golds = [TagSequence(rng.integers(L, size=len(t))) for t in sentences]
+    tables = None
+    if case is None:
+        lam = 0.0
+    else:
+        teacher = rand_model(teacher_family, rng, n_labels=teacher_labels, bits=10)
+        temp = TemperatureConfig(2.0, "local")
+        tables = [teacher_marginal_table(case, teacher, t, temp) for t in sentences]
+    golds = [_rand_gold(student, len(t), rng) for t in sentences]
     batch = rng.permutation(len(sentences))
     coef = 1.0 / len(batch)
 
+    preps = [student.prepare(t) for t in sentences]
     want = student.new_grads()
     want_losses = [
-        student.objective(student.prepare(sentences[i]), golds[i], tables[i], lam, want, coef)
+        student.objective(preps[i], golds[i], None if tables is None else tables[i], lam, want, coef)
         for i in batch
     ]
-
-    stacked = student.prepare_corpus(sentences)
+    prepared = student.prepare_corpus(sentences)
     got = student.new_grads()
-    tags = np.array([t for g in golds for t in g.tags])
-    q = np.concatenate([t.rows for t in tables])
-    got_losses = student.batch_objective(stacked, batch, tags, q, lam, got, coef)
-
-    assert got_losses.tolist() == want_losses
-    np.testing.assert_array_equal(got["weights"], want["weights"])
-    np.testing.assert_array_equal(got["bias"], want["bias"])
+    assert student.batch_objective(prepared, batch, golds, tables, lam, got, coef) == want_losses
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+    assert student.decode_corpus(prepared) == [student.decode(p) for p in preps]
+    if family != "ner-maxent":
+        return
     # the stack of the per-sentence blocks is the same block
-    again = student.stack([student.prepare(t) for t in sentences])
+    again = student.stack(preps)
     for name in ("ids", "vals", "widths", "offsets", "salts"):
-        np.testing.assert_array_equal(getattr(again, name), getattr(stacked, name))
-    for k, t in enumerate(sentences):
-        one, ref = stacked.block(k), student.prepare(t)
+        np.testing.assert_array_equal(getattr(again, name), getattr(prepared, name))
+    for k, ref in enumerate(preps):
+        one = prepared.block(k)
         np.testing.assert_array_equal(one.slots, ref.slots)
         np.testing.assert_array_equal(one.vals, ref.vals)
 
@@ -532,6 +577,34 @@ def test_teacher_tables_must_align_with_the_records(case):
     with pytest.raises(ValueError, match="7 teacher tables for 8 records"):
         run(tables[:-1])
     run(tables)
+    with pytest.raises(ValueError, match="only used when distilling"):
+        student = models.new_model(kd.student_family, alphabet, bits=10)
+        train(student, recs, [], TrainConfig(epochs=1), teacher_tables=tables)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TrainConfig(batch_size=0),
+        lambda: TrainConfig(epochs=-1),
+        lambda: TrainConfig(lr=0.0),
+        lambda: TrainConfig(lr=-0.1),
+        lambda: DistillConfig("9"),
+        lambda: DistillConfig("2a", temperature=0.0),
+        lambda: DistillConfig("2a", temperature=float("nan")),
+        lambda: DistillConfig("2a", temperature="hot"),
+        lambda: DistillConfig("2a", temp_mode="sideways"),
+        lambda: DistillConfig("2a", anneal_rate=0.0),
+        lambda: DistillConfig("2a", anneal_rate=float("inf")),
+    ],
+    ids=[
+        "batch-size-0", "epochs-negative", "lr-0", "lr-negative", "case-9", "temperature-0", "temperature-nan",
+        "temperature-str", "mode-sideways", "rate-0", "rate-inf",
+    ],
+)
+def test_bad_settings_are_rejected_when_the_config_is_made(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_distill_requires_matching_student_family():
