@@ -26,6 +26,7 @@ from .distill import (
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
+    teacher_marginal_tables,
 )
 from .head_parser import ArcDistributions, FirstOrderParser, SecondOrderParser
 from .models import load_model, new_model, save_model

@@ -635,14 +635,13 @@ def _synth_spans(n_sentences, min_len, max_len, entity_types, seed):
             ent_vocab[mark[i]][rng.integers(20)] if mark[i] >= 0 else filler[rng.integers(80)]
             for i in range(n)
         ]
-        scores = np.empty((n, n, T))
-        for t in range(T):
-            matched = np.concatenate(([0], np.cumsum(mark == t)))
-            for i in range(n):
-                for j in range(i, n):
-                    m = matched[j + 1] - matched[i]
-                    s = -1.4 + 1.8 * m - 2.5 * (j - i + 1 - m)
-                    scores[i, j, t] = s
+        # span (i, j) of type t scores by its m tokens marked t and its
+        # j - i + 1 - m others (entries below the diagonal are never read)
+        matched = np.zeros((n + 1, T), dtype=np.int64)
+        matched[1:] = np.cumsum(mark[:, None] == np.arange(T), axis=0)
+        m = matched[None, 1:, :] - matched[:-1, None, :]
+        length = np.arange(1, n + 1)[None, :, None] - np.arange(n)[:, None, None]
+        scores = -1.4 + 1.8 * m - 2.5 * (length - m)
         spans = sample_span_set(SpanScoreTable(scores), rng)
         records.append(SentenceRecord(tokens, SpanSet(frozenset(spans))))
     return records, types

@@ -25,7 +25,7 @@ import numpy as np
 from . import chain_crf
 from .corpus import PSEUDO_LABELED, SentenceRecord, SpanSet
 from .numerics import log_softmax
-from .span_ner import bioes_marginals
+from .span_ner import bioes_marginals, per_length, stack_bioes_rows
 from .token_maxent import TokenDistributions, pair_marginals_from_tokens
 
 
@@ -62,6 +62,11 @@ class TemperatureConfig:
         check_positive("temperature", self.temperature)
         if self.mode not in ("local", "global"):
             raise ValueError(f"unknown temperature mode {self.mode!r}")
+
+    @property
+    def score_scale(self) -> float:
+        """Factor on the teacher's scores: 1/T in global mode, 1 in local."""
+        return 1.0 / self.temperature if self.mode == "global" else 1.0
 
 
 @dataclass
@@ -115,15 +120,24 @@ def apply_temperature(table, temperature: float):
 # Teacher marginal extraction
 
 
-def teacher_marginal_table(case, teacher, tokens, temp: TemperatureConfig):
-    """Marginals of the teacher over the student substructure space for one
-    sentence, with temperature already applied."""
+def _teacher_case(case, teacher) -> KdCase:
     case = CASES[case] if isinstance(case, str) else case
     if teacher.family != case.teacher_family:
         raise ValueError(
             f"case {case.tag} expects a {case.teacher_family} teacher, got {teacher.family}"
         )
-    scale = 1.0 / temp.temperature if temp.mode == "global" else 1.0
+    return case
+
+
+def _tempered(table, temp: TemperatureConfig):
+    return apply_temperature(table, temp.temperature) if temp.mode == "local" else table
+
+
+def teacher_marginal_table(case, teacher, tokens, temp: TemperatureConfig):
+    """Marginals of the teacher over the student substructure space for one
+    sentence, with temperature already applied."""
+    case = _teacher_case(case, teacher)
+    scale = temp.score_scale
     prep = teacher.prepare(tokens)
     if case.tag in ("1a", "2a"):
         table = chain_crf.pairwise_marginals(teacher.lattice(prep, scale))
@@ -137,7 +151,20 @@ def teacher_marginal_table(case, teacher, tokens, temp: TemperatureConfig):
         table = bioes_marginals(teacher.score_table(prep, scale))
     else:
         raise ValueError(f"unknown case {case.tag}")
-    return apply_temperature(table, temp.temperature) if temp.mode == "local" else table
+    return _tempered(table, temp)
+
+
+def teacher_marginal_tables(case, teacher, token_lists, temp: TemperatureConfig) -> list:
+    """`teacher_marginal_table` of every sentence of a corpus.  Case 4's
+    BIOES rows come from one `stack_bioes_rows` pass per sentence length,
+    each row bit for bit the one-sentence table's."""
+    case = _teacher_case(case, teacher)
+    if case.tag != "4":
+        return [teacher_marginal_table(case, teacher, tokens, temp) for tokens in token_lists]
+    tables = [teacher.score_table(teacher.prepare(t), temp.score_scale) for t in token_lists]
+    return [
+        _tempered(TokenDistributions(rows), temp) for rows in per_length(stack_bioes_rows, tables)
+    ]
 
 
 # ---------------------------------------------------------------------------

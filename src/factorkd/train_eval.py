@@ -30,7 +30,8 @@ from .distill import (
     check_positive,
     lambda_schedule,
     pseudo_label,
-    teacher_marginal_table,
+    teacher_marginal_table,  # noqa: F401  re-exported; kdbench's tracer patches it here
+    teacher_marginal_tables,
 )
 
 FIXED_SEEDS = (1, 2, 3, 4, 5)
@@ -303,10 +304,9 @@ def train(
     dev_prepared = _prepared(model, dev_records, dev_prepared)
     if distill_cfg is not None and teacher_tables is None:
         temp = distill_cfg.temp()
-        teacher_tables = [
-            teacher_marginal_table(distill_cfg.case, teacher, r.tokens, temp)
-            for r in train_records
-        ]
+        teacher_tables = teacher_marginal_tables(
+            distill_cfg.case, teacher, [r.tokens for r in train_records], temp
+        )
     golds = [r.gold for r in train_records]
 
     n = len(train_records)
@@ -416,17 +416,16 @@ def distill_grid_search(
     probe = model_factory()
     prepared = prepare_records(probe, records)
     dev_prepared = prepare_records(probe, dev_records)
+    tokens = [r.tokens for r in records]
     if mode == "local":
-        untempered = TemperatureConfig(1.0, mode)
-        base = [teacher_marginal_table(case, teacher, r.tokens, untempered) for r in records]
+        base = teacher_marginal_tables(case, teacher, tokens, TemperatureConfig(1.0, mode))
 
     rows = []
     for t in temperatures:
         if mode == "local":
             tables = [apply_temperature(q, t) for q in base]
         else:
-            temp = TemperatureConfig(t, mode)
-            tables = [teacher_marginal_table(case, teacher, r.tokens, temp) for r in records]
+            tables = teacher_marginal_tables(case, teacher, tokens, TemperatureConfig(t, mode))
         for rate in rates:
             devs = []
             for seed in seeds:

@@ -189,23 +189,25 @@ def suite_spans(trials=100, seed=0):
     rng = np.random.default_rng(seed)
     worst_z = worst_dir = worst_rows = worst_pres = worst_sum = 0.0
     edge_bad = decode_bad = 0
+    by_types = {}  # T -> [(table, oracle log Z, oracle rows, oracle presence, single results)]
     for _ in range(trials):
         n = int(rng.integers(1, 7))
         T = int(rng.integers(1, 4))
         table = rand_span_table(rng, n, T)
         e = oracle.enumerate_spans(table)
+        ref_z = oracle.log_partition(e)
+        ref_rows, ref_pres = oracle.span_bioes_rows(e, T), oracle.span_presence(e, T)
         log_z = span_ner.span_log_partition(table)
-        worst_z = max(worst_z, abs(log_z - oracle.log_partition(e)))
+        worst_z = max(worst_z, abs(log_z - ref_z))
         worst_dir = max(
             worst_dir, abs(span_ner.prefix_log_partitions(table)[n] - log_z)
         )
         m = span_ner.bioes_marginals(table)
-        worst_rows = max(worst_rows, np.abs(m.rows - oracle.span_bioes_rows(e, T)).max())
+        worst_rows = max(worst_rows, np.abs(m.rows - ref_rows).max())
         worst_sum = max(worst_sum, np.abs(m.rows.sum(axis=1) - 1.0).max())
-        worst_pres = max(
-            worst_pres,
-            np.abs(span_ner.span_marginals(table) - oracle.span_presence(e, T)).max(),
-        )
+        pres = span_ner.span_marginals(table)
+        worst_pres = max(worst_pres, np.abs(pres - ref_pres).max())
+        by_types.setdefault(T, []).append((table, ref_z, ref_rows, ref_pres, log_z, m.rows, pres))
         for l in range(T):
             col = 1 + 4 * l
             if m.rows[n - 1, col] != 0.0 or m.rows[0, col + 2] != 0.0:
@@ -218,12 +220,39 @@ def suite_spans(trials=100, seed=0):
         best_score = sum(table.scores[s - 1, e2 - 1, l] for s, e2, l in best)
         if abs(dec_score - best_score) > MARGINAL_TOL:
             decode_bad += 1
+
+    # the same tables as length-grouped batches (one per type count, mixed
+    # lengths) vs the one-table views and the enumeration
+    worst_batch = 0.0
+    for rows in by_types.values():
+        tables = [row[0] for row in rows]
+        grouped = zip(
+            span_ner.per_length(span_ner.stack_span_marginals, tables),
+            span_ner.per_length(span_ner.stack_bioes_rows, tables),
+        )
+        for (_, ref_z, ref_rows, ref_pres, log_z, single_rows, single_pres), ((z, pres), b) in zip(
+            rows, grouped
+        ):
+            worst_batch = max(
+                worst_batch,
+                abs(z - ref_z),
+                abs(z - log_z),
+                np.abs(pres - ref_pres).max(),
+                np.abs(pres - single_pres).max(),
+                np.abs(b - ref_rows).max(),
+                np.abs(b - single_rows).max(),
+            )
     return [
         _check(f"span log-partition vs enumeration ({trials})", worst_z, MARGINAL_TOL),
         _check("span prefix/suffix partitions agree", worst_dir, MARGINAL_TOL),
         _check(f"span BIOES marginals vs enumeration ({trials})", worst_rows, MARGINAL_TOL),
         _check("span BIOES rows sum to one", worst_sum, MARGINAL_TOL),
         _check("span presence marginals vs enumeration", worst_pres, MARGINAL_TOL),
+        _check(
+            f"span length-grouped batch vs single and enumeration ({trials})",
+            worst_batch,
+            MARGINAL_TOL,
+        ),
         Check("span boundary-impossible tags are exactly zero", edge_bad == 0, f"{edge_bad} bad"),
         Check("span max-decode score matches enumeration", decode_bad == 0, f"{decode_bad} bad"),
     ]

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -269,6 +271,31 @@ def test_synth_deterministic():
         b, _ = synth_generate(task, 25, max_len=7, seed=9)
         for ra, rb in zip(a, b):
             assert ra.tokens == rb.tokens and ra.gold == rb.gold
+
+
+# sha256 of the records of two span corpora (tokens and sorted gold spans),
+# as drawn when the planted span scores were filled by a Python loop and the
+# sampler built its options as Python lists
+SPAN_CORPUS_DIGESTS = {
+    "two_types": "8e5cf11bdea5051afc69e5981c6efe9d7c8cc922b1de8fd9ff8354f056e050c8",
+    "three_types_long": "02ed429df912099463849294cf2af578bfc2f10f6fc2adfd4062f4aeb8a7c605",
+}
+
+
+def test_span_corpora_are_pinned():
+    corpora = {
+        "two_types": synth_generate("spans", 200, max_len=12, min_len=1, seed=15)[0],
+        "three_types_long": synth_generate(
+            "spans", 60, max_len=20, min_len=9, seed=16, entity_types=("A", "B", "C")
+        )[0],
+    }
+    got = {
+        name: hashlib.sha256(
+            json.dumps([[r.tokens, sorted(r.gold.spans)] for r in records]).encode()
+        ).hexdigest()
+        for name, records in corpora.items()
+    }
+    assert got == SPAN_CORPUS_DIGESTS
 
 
 def test_synth_single_label_chain():

@@ -11,6 +11,7 @@ from factorkd.distill import (
     lambda_schedule,
     pseudo_label,
     teacher_marginal_table,
+    teacher_marginal_tables,
     temper_rows,
 )
 from factorkd.numerics import rows_objective, softmax_last
@@ -242,6 +243,29 @@ def test_case4_uniform_table_matches_hand_enumeration():
         "4", teacher, ["a", "b"], TemperatureConfig(1.0, "local")
     ).rows
     np.testing.assert_allclose(rows[0], [0.4, 0.2, 0.0, 0.0, 0.4], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, family, temp",
+    [
+        ("4", "ner-span", TemperatureConfig(1.0, "local")),
+        ("4", "ner-span", TemperatureConfig(2.0, "local")),
+        ("4", "ner-span", TemperatureConfig(3.0, "global")),
+        ("2a", "ner-crf", TemperatureConfig(2.0, "local")),
+    ],
+)
+def test_corpus_tables_equal_the_one_sentence_tables(case, family, temp):
+    rng = np.random.default_rng(21)
+    teacher = rand_model(family, rng, n_labels=2, bits=10)
+    token_lists = [rand_tokens(rng, n) for n in (3, 1, 7, 3, 5, 7, 1, 8)]
+    got = teacher_marginal_tables(case, teacher, token_lists, temp)
+    assert len(got) == len(token_lists)
+    for tokens, table in zip(token_lists, got):
+        want = teacher_marginal_table(case, teacher, tokens, temp)
+        assert type(table) is type(want)
+        np.testing.assert_array_equal(table.rows, want.rows)
+    with pytest.raises(ValueError):
+        teacher_marginal_tables(case, rand_model("dep-1st", rng, bits=10), token_lists, temp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import span_reference
+from hypothesis import example, given, settings, strategies as st
 
 from factorkd import oracle
 from factorkd.corpus import LabelAlphabet, SpanSet
@@ -9,13 +10,18 @@ from factorkd.span_ner import (
     SpanScoreTable,
     bioes_marginals,
     decode_spans,
+    per_length,
     prefix_log_partitions,
     sample_span_set,
     span_log_partition,
     span_marginals,
+    stack_bioes_rows,
+    stack_prefix_log_partitions,
+    stack_span_marginals,
+    stack_suffix_log_partitions,
     suffix_log_partitions,
 )
-from factorkd.verify import rand_span_table
+from factorkd.verify import _rand_gold, rand_model, rand_span_table, rand_tokens
 
 LN2 = 0.6931471805599453
 LN5 = 1.6094379124341003
@@ -107,6 +113,90 @@ def test_span_marginals_match_enumeration():
         np.testing.assert_allclose(
             span_marginals(table), oracle.span_presence(e, T), atol=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# Length-grouped kernels
+
+
+def _score_like_tables(rng, lengths, T):
+    """Random tables with the -inf lower triangle that score_table leaves."""
+    tables = []
+    for n in lengths:
+        scores = rng.uniform(-3.0, 3.0, (n, n, T))
+        scores[np.tril_indices(n, -1)] = -np.inf
+        tables.append(SpanScoreTable(scores))
+    return tables
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lengths=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+    T=st.integers(1, 3),
+)
+@example(seed=0, lengths=[1, 1, 1], T=2)
+@example(seed=1, lengths=[8, 3, 8, 1, 8], T=3)
+@settings(max_examples=60, deadline=None)
+def test_grouped_kernels_equal_the_scalar_reference(seed, lengths, T):
+    """Every table of a mixed-length batch gets from its length's stack
+    exactly the numbers of the scalar one-table DPs, and the one-table views
+    give them too; the short ones also match enumeration."""
+    tables = _score_like_tables(np.random.default_rng(seed), lengths, T)
+    suffix = per_length(stack_suffix_log_partitions, tables)
+    prefix = per_length(stack_prefix_log_partitions, tables)
+    marginals = per_length(stack_span_marginals, tables)
+    rows = per_length(stack_bioes_rows, tables)
+    for t, log_f, log_b, (log_z, pres), r in zip(tables, suffix, prefix, marginals, rows):
+        n = t.n
+        ref_f = span_reference.suffix_log_partitions(t.scores)
+        ref_pres = span_reference.span_marginals(t.scores)
+        ref_rows = span_reference.bioes_rows(t.scores)
+        np.testing.assert_array_equal(log_f, ref_f)
+        np.testing.assert_array_equal(log_b, span_reference.prefix_log_partitions(t.scores))
+        assert log_z == ref_f[0] == span_log_partition(t)
+        np.testing.assert_array_equal(pres, ref_pres)
+        np.testing.assert_array_equal(r, ref_rows)
+        np.testing.assert_array_equal(suffix_log_partitions(t), ref_f)
+        np.testing.assert_array_equal(prefix_log_partitions(t), log_b)
+        np.testing.assert_array_equal(span_marginals(t), ref_pres)
+        np.testing.assert_array_equal(bioes_marginals(t).rows, ref_rows)
+        for l in range(T):
+            col = 1 + 4 * l
+            assert r[n - 1, col] == 0.0 and r[n - 1, col + 1] == 0.0  # B, I at the last token
+            assert r[0, col + 1] == 0.0 and r[0, col + 2] == 0.0  # I, E at the first
+        if n <= 5:
+            e = oracle.enumerate_spans(t)
+            assert abs(log_z - oracle.log_partition(e)) <= 1e-9
+            np.testing.assert_allclose(pres, oracle.span_presence(e, T), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(r, oracle.span_bioes_rows(e, T), rtol=0, atol=1e-9)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lengths=st.lists(st.integers(1, 8), min_size=1, max_size=10),
+    T=st.integers(1, 3),
+)
+@example(seed=0, lengths=[6, 6, 6, 6], T=2)
+@example(seed=1, lengths=[1, 1], T=1)
+@settings(max_examples=40, deadline=None)
+def test_batch_objective_equals_the_scalar_objective_in_batch_order(seed, lengths, T):
+    rng = np.random.default_rng(seed)
+    model = rand_model("ner-span", rng, n_labels=T, bits=10)
+    preps = [model.prepare(rand_tokens(rng, n)) for n in lengths]
+    golds = [_rand_gold(model, n, rng) for n in lengths]
+    batch = rng.permutation(len(lengths))
+    coef = 1.0 / len(batch)
+    want = model.new_grads()
+    want_losses = [span_reference.objective(model, preps[i], golds[i], want, coef) for i in batch]
+    got = model.new_grads()
+    assert model.batch_objective(preps, batch, golds, None, 0.0, got, coef) == want_losses
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+    one = model.new_grads()
+    losses = [model.objective(preps[i], golds[i], None, 0.0, one, coef) for i in batch]
+    assert losses == want_losses
+    for name in want:
+        np.testing.assert_array_equal(one[name], want[name])
 
 
 # ---------------------------------------------------------------------------

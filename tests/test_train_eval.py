@@ -297,6 +297,23 @@ def test_per_sentence_preps_train_to_the_pinned_artifacts(tmp_path):
     assert got == CASE3_DIGESTS
 
 
+# sha256 of a span-NER teacher's model file and manifest, as written when
+# its DPs ran one sentence at a time over Python lists
+SPAN_TEACHER_DIGESTS = {
+    "teacher": "a1c81b6671f079786506060a001c7e182c497bb4e25a64680155c3b283283f3e",
+    "teacher_manifest": "524d66d30a0dbda0615d137d2fef36dce410c118596e3cf195aab1237738bf7b",
+}
+
+
+def test_span_teacher_is_pinned(tmp_path):
+    spans, types = corpus.synth_generate("spans", 100, max_len=8, min_len=1, seed=8)
+    teacher = models.new_model("ner-span", types, bits=12)
+    teacher, manifest = train(
+        teacher, spans[:80], spans[80:], TrainConfig(epochs=2, lr=0.3, batch_size=16, seed=1)
+    )
+    assert _digests(tmp_path, teacher, manifest, "teacher") == SPAN_TEACHER_DIGESTS
+
+
 # sha256 of MaxEnt model files and manifests as written when every MaxEnt
 # sentence was its own step and every dev sentence its own decode; the
 # stacked corpus and the batched step must not move a single bit
